@@ -288,24 +288,31 @@ func decideNode(t *Tree, s *Static, cands []int32, secure, breaks []bool, flippe
 			}
 		}
 	}
-	// Plain tie-break among all candidates: state-independent, so use
-	// the precomputed winner when available.
-	var best int32
-	switch {
-	case s.win != nil:
-		best = s.win[i]
-	case len(cands) == 1:
-		best = cands[0]
-	default:
-		best = cands[0]
-		for _, b := range cands[1:] {
-			if tb.Less(i, b, best) {
-				best = b
-			}
+	// Without SecP the path may still happen to be secure.
+	best := plainWinner(s, cands, tb, i)
+	return best, iSecure && t.Secure[best], true
+}
+
+// plainWinner is the TB step over all of node i's (non-empty) tiebreak
+// set cands. It is state-independent, so the precomputed winner serves
+// when the static carries one. The scan lives in tbMin so that this
+// check inlines into decideNode.
+func plainWinner(s *Static, cands []int32, tb Tiebreaker, i int32) int32 {
+	if s.win != nil {
+		return s.win[i]
+	}
+	return tbMin(cands, tb, i)
+}
+
+// tbMin returns node i's tiebreaker-preferred member of cands.
+func tbMin(cands []int32, tb Tiebreaker, i int32) int32 {
+	best := cands[0]
+	for _, b := range cands[1:] {
+		if tb.Less(i, b, best) {
+			best = b
 		}
 	}
-	// Without SecP the path may still happen to be secure.
-	return best, iSecure && t.Secure[best], true
+	return best
 }
 
 // PathTo reconstructs node i's AS path to the tree's destination as a

@@ -19,6 +19,17 @@ import "sbgp/internal/routing"
 // intersects the witness; otherwise it is reprocessed (using the
 // advanced tree, so even dirty destinations skip the full resolution).
 //
+// Only outgoing records build a witness. Under the incoming model the
+// deltas depend on most provider-parent ISPs, and the witness was hit
+// by essentially every round's flips: on a cascading N=5,000 game it
+// left 0 of 45,000 destination-passes clean, while building it cost
+// the batch predictor (which cannot run while a witness is recorded).
+// Incoming records therefore start with witnessFull set, so any
+// realized flip invalidates their deltas and only an identical
+// re-evaluation replays them. The advanced tree and the base
+// contributions still pay: they replace a resolution and, when no
+// parent moved, the base accumulation every round.
+//
 // Bit-identity with the non-incremental engine holds at any budget:
 //   - The advanced tree equals a fresh resolution bit for bit
 //     (ApplyFlips' contract), so dirty reprocessing is exactly the
@@ -74,16 +85,18 @@ type destRecord struct {
 	// by a performed projection (its flag feeds the projected
 	// decisions). A realized flip outside tree ∪ witness ∪ {dest}
 	// provably reproduces every skip decision and projection bit for
-	// bit.
+	// bit. Built for outgoing records only; incoming records keep it
+	// empty with witnessFull set.
 	witness []int32
 	// deltasValid reports whether delta/witness are current: set on
 	// every delta recomputation, cleared when a round advances the tree
 	// or hits the witness without recomputing them (base-only rounds).
 	deltasValid bool
 	// witnessFull flags a witness that outgrew the worker's cap during
-	// recording. The partial set cannot prove anything about a nonempty
-	// flip set, so such a record is conservatively hit by any realized
-	// flip; its deltas still replay across no-flip rounds.
+	// recording, or was never built (incoming records). The partial set
+	// cannot prove anything about a nonempty flip set, so such a record
+	// is conservatively hit by any realized flip; its deltas still
+	// replay across no-flip rounds.
 	witnessFull bool
 	// dirtyStreak counts consecutive candidate rounds whose realized
 	// flips invalidated freshly recorded deltas. Once it reaches

@@ -529,13 +529,11 @@ type worker struct {
 	incBase     []float64
 	accProj     []float64
 	incProj     []float64
-	movedMark   []bool   // accumulateAt: marks of the projection's parent moves
-	movedBuf    []int32  // accumulateAt: the parent-move list itself
-	subList     []int32  // accumulateAt: subtree expansion stack
-	subPosBits  []uint64 // accumulateAt: bitset of collected order positions
-	childOff    []int32  // base-tree child index (CSR offsets), per destination
-	childCur    []int32
-	childList   []int32
+	movedMark   []bool             // accumulateAt: marks of the projection's parent moves
+	movedBuf    []int32            // projectDelta: the projection's parent moves
+	subList     []int32            // accumulateAt: subtree expansion stack
+	subPosBits  []uint64           // accumulateAt: bitset of collected order positions
+	kids        routing.ChildIndex // base-tree child index, per destination
 	uBase       []float64
 	uDelta      []float64
 	flipMark    []bool
@@ -840,25 +838,38 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		}
 	}
 
+	// Only outgoing records keep a witness. An incoming witness spans
+	// most provider-parent ISPs and is hit by essentially every round's
+	// flips, so incoming records start full: any realized flip
+	// invalidates their deltas, and only an identical re-evaluation
+	// replays them.
+	recWitness := recDeltas && cfg.Model == Outgoing
 	if recDeltas {
 		rec.delta = rec.delta[:0]
-		wk.beginWitness(rec, stc, cfg)
+		if recWitness {
+			wk.beginWitness(rec, stc, cfg)
+		} else {
+			rec.witness = rec.witness[:0]
+			rec.witnessFull = true
+		}
 	}
 
 	// Batched projection prediction: with the move predictor prepared
 	// once for this destination's tree, single-node candidate flips that
 	// provably move no parent are skipped without running change
-	// propagation at all. Disabled while deltas are being recorded — a
+	// propagation at all. Disabled while a witness is being recorded — a
 	// skipped projection contributes no touched nodes to the record's
 	// witness, which must cover everything that can make its delta
 	// nonzero later.
-	useBatch := !cfg.NoProjectionBatch && !recDeltas
-	// The dependents index (plus predictor) and the base-tree copy that
-	// change propagation works on are built lazily: the former when some
-	// candidate survives the skip rules, the latter only when one also
-	// needs an actual propagation.
+	useBatch := !cfg.NoProjectionBatch && !recWitness
+	// The dependents index (plus predictor) and the base-tree copy and
+	// child index that change propagation works on are built lazily:
+	// the former when some candidate survives the skip rules, the
+	// latter only when one also needs an actual propagation. dSecKids
+	// is projectDelta's count of the destination's secure children.
 	predReady := false
 	projReady := false
+	dSecKids := -1
 	for _, c := range rc.candList {
 		// Zero-utility skip: a candidate whose utility contribution for
 		// this destination is identically zero in every deployment state
@@ -903,33 +914,23 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			wk.buildChildIndex(stc, tree, n)
 			projReady = true
 		}
-		parentsChanged, touched := wk.ws.ApplyFlips(&wk.projTree, stc,
-			st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
-		wk.clearFlips(flips)
+		v, changed, touched := wk.projectDelta(rc, stc, tree, c, d, flips, recWitness, &dSecKids)
 		wk.stats.projResolutions++
 		wk.stats.nodesRecomputed += int64(touched)
 		wk.stats.nodesReused += int64(len(stc.Order()) - touched)
-		if recDeltas && !rec.witnessFull {
+		if recWitness && !rec.witnessFull {
 			for _, t := range wk.ws.LastTouched() {
 				wk.addWitness(rec, t)
 			}
 		}
-		if !parentsChanged {
-			// The projected tree routes identically to the base tree
-			// (only Secure flags differ), so every traffic accumulation
-			// over it is bit-equal to the base one: the utility delta is
-			// exactly zero and the accumulation pass can be skipped.
+		if !changed {
 			wk.stats.projUnchanged++
-			wk.ws.RevertFlips(&wk.projTree)
 			continue
 		}
-		wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf[:0])
-		v := wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, weights, c, wk.movedBuf)
 		wk.uDelta[c] += v
 		if recDeltas {
 			rec.delta = append(rec.delta, contribEntry{c, v})
 		}
-		wk.ws.RevertFlips(&wk.projTree)
 	}
 
 	if recDeltas {
@@ -949,6 +950,74 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 		rec.witness = rec.witness[:0]
 		wk.dyn.resize(rec, n)
 	}
+}
+
+// projectDelta projects candidate c's flip set flips (marked by
+// flipSetFor; unmarked here) for destination d with base tree tree.
+// wk.projTree must hold a copy of tree and wk.kids its children; the
+// copy is back at the base on return. It returns c's utility delta,
+// whether any parent moved, and the number of nodes re-decided. With no
+// parent move the projected tree routes identically to the base tree
+// (only Secure flags differ), so every traffic accumulation over it is
+// bit-equal to the base one: the delta is exactly zero and is not
+// computed. record asks for LastTouched to cover a witness. secKids
+// caches the count of d's secure children across the destination's
+// candidates, and is -1 until counted.
+//
+// A turn-off (its flip set is {c}) takes the loss-cascade kernel,
+// ApplyTurnOff, or skips propagation entirely when c is d's only secure
+// child: then no path stays secure (see secureChildren), and the
+// projection is the plain-winner tree. The collapse leaves no touched
+// nodes, so it waits while a witness is recorded. Every other flip set
+// takes ApplyFlips. All three produce the same parent moves in the same
+// order, so deltaAt adds the same floats.
+func (wk *worker) projectDelta(rc *roundCtx, stc *routing.Static, tree *routing.Tree, c, d int32, flips []int32, record bool, secKids *int) (v float64, changed bool, touched int) {
+	st, cfg := rc.st, rc.cfg
+	collapse := false
+	if len(flips) == 1 && c != d && st.secure[c] {
+		wk.clearFlips(flips)
+		if !record && stc.HasWinners() && tree.Parent[c] == d {
+			if *secKids < 0 {
+				*secKids = wk.secureChildren(d, tree)
+			}
+			collapse = *secKids == 1
+		}
+		if collapse {
+			wk.movedBuf = stc.PlainMoves(tree, wk.movedBuf[:0])
+			touched = len(wk.movedBuf)
+		} else {
+			wk.movedBuf, touched = wk.ws.ApplyTurnOff(&wk.projTree, stc,
+				st.secure, st.breaks, c, &wk.kids, cfg.Tiebreaker, record, wk.movedBuf[:0])
+		}
+	} else {
+		var parentsChanged bool
+		parentsChanged, touched = wk.ws.ApplyFlips(&wk.projTree, stc,
+			st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
+		wk.clearFlips(flips)
+		wk.movedBuf = wk.movedBuf[:0]
+		if parentsChanged {
+			wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf)
+		}
+	}
+	moved := wk.movedBuf
+	if len(moved) > 0 {
+		if collapse {
+			// deltaAt reads parents only, so the projected tree's stale
+			// Secure flags are never seen.
+			for _, m := range moved {
+				wk.projTree.Parent[m] = stc.Winner(m)
+			}
+		}
+		v = wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, rc.weights, c, moved)
+	}
+	if collapse {
+		for _, m := range moved {
+			wk.projTree.Parent[m] = tree.Parent[m]
+		}
+	} else {
+		wk.ws.RevertFlips(&wk.projTree)
+	}
+	return v, len(moved) > 0, touched
 }
 
 // fetchStatic serves destination d's static snapshot: worker or shared
@@ -1394,9 +1463,10 @@ func (wk *worker) advanceRecord(rec *destRecord, getStatic func() *routing.Stati
 	return parentsChanged, treeChanged, hit
 }
 
-// beginWitness starts rebuilding rec's witness set with its
-// state-independent core: every ISP that passes the zero-utility test
-// for this destination — whether or not it is a candidate right now —
+// beginWitness starts rebuilding an outgoing record's witness set with
+// its state-independent core: every ISP that passes the outgoing
+// zero-utility test (a customer route to this destination) — whether
+// or not it is a candidate right now —
 // since such an ISP flipping can change its own skip decisions, flip
 // set or candidacy; plus, under ProjectStubUpgrades, those ISPs'
 // reachable stub customers, whose deployment flag decides their
@@ -1407,17 +1477,9 @@ func (wk *worker) beginWitness(rec *destRecord, stc *routing.Static, cfg *Config
 	rec.witness = rec.witness[:0]
 	rec.witnessFull = false
 	g := wk.ws.Graph()
-	if cfg.Model == Outgoing {
-		for _, i := range wk.isps {
-			if stc.Type[i] == routing.CustomerRoute {
-				wk.addWitness(rec, i)
-			}
-		}
-	} else {
-		for _, b := range stc.ProviderParents() {
-			if g.IsISP(b) {
-				wk.addWitness(rec, b)
-			}
+	for _, i := range wk.isps {
+		if stc.Type[i] == routing.CustomerRoute {
+			wk.addWitness(rec, i)
 		}
 	}
 	if cfg.ProjectStubUpgrades {
@@ -1562,35 +1624,36 @@ func (wk *worker) contribution(model UtilityModel, stc *routing.Static, acc, inc
 	return inc[i]
 }
 
-// buildChildIndex fills the worker's CSR child index for base tree t:
-// childList[childOff[p]:childOff[p+1]] holds the order nodes whose
-// chosen parent is p. Built once per destination (lazily, with the
-// delta index) and valid for that base tree only; accumulateAt overlays
-// each projection's parent moves on it instead of rescanning the order.
+// buildChildIndex fills the worker's child index for base tree t.
+// Built once per destination (lazily, with the delta index) and valid
+// for that base tree only: the turn-off kernel pushes children from it,
+// and deltaAt and accumulateAt overlay each projection's parent moves
+// on it instead of rescanning the order.
 func (wk *worker) buildChildIndex(s *routing.Static, t *routing.Tree, n int) {
-	if len(wk.childOff) < n+1 {
-		wk.childOff = make([]int32, n+1)
-		wk.childCur = make([]int32, n)
-		wk.childList = make([]int32, n)
+	wk.kids.Build(s, t, n)
+}
+
+// secureChildren counts the children of destination d that hold a
+// secure path in base tree t, whose children buildChildIndex indexed.
+//
+// Secure paths are closed upward: a node holds one only if its parent
+// does. So when the turn-off candidate c is d's only secure child, c's
+// subtree holds every secure path, and turning c off leaves none.
+// Suppose one stayed, and take the lowest-position node x still secure
+// afterwards. Its parent must be d, so its tiebreak set is {d}, and its
+// decision reads only its own flags and d's — all as in the base. So x
+// was a secure child of d in the base too, and x ≠ c, which contradicts
+// c being the only one. The projection is then exactly the
+// plain-winner tree: every node's parent is its winner, and the parent
+// moves are Static.PlainMoves, in the order ApplyFlips would produce.
+func (wk *worker) secureChildren(d int32, t *routing.Tree) int {
+	k := 0
+	for _, j := range wk.kids.Children(d) {
+		if t.Secure[j] {
+			k++
+		}
 	}
-	order := s.Order()
-	off := wk.childOff[:n+1]
-	for i := range off {
-		off[i] = 0
-	}
-	for _, i := range order {
-		off[t.Parent[i]+1]++
-	}
-	for p := 0; p < n; p++ {
-		off[p+1] += off[p]
-	}
-	cur := wk.childCur[:n]
-	copy(cur, off[:n])
-	for _, i := range order {
-		p := t.Parent[i]
-		wk.childList[cur[p]] = i
-		cur[p]++
-	}
+	return k
 }
 
 // deltaAt returns the change in candidate c's utility contribution
@@ -1637,7 +1700,7 @@ func (wk *worker) deltaAt(model UtilityModel, s *routing.Static, base, proj *rou
 		for len(stack) > 0 {
 			q := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, r := range wk.childList[wk.childOff[q]:wk.childOff[q+1]] {
+			for _, r := range wk.kids.Children(q) {
 				if !movedMark[r] {
 					g += weights[r]
 					stack = append(stack, r)
@@ -1722,7 +1785,7 @@ func (wk *worker) accumulateAt(model UtilityModel, s *routing.Static, t *routing
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, r := range wk.childList[wk.childOff[q]:wk.childOff[q+1]] {
+		for _, r := range wk.kids.Children(q) {
 			if !movedMark[r] {
 				acc[r] = weights[r]
 				pr := s.Pos(r)

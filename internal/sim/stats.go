@@ -10,15 +10,36 @@ import (
 // Config.RecordStats is set.
 //
 // Per round the engine performs one base routing-tree resolution per
-// destination plus, for every (destination, candidate) pair, either one
-// projected resolution or a skip by one of the Appendix C.4 rules:
+// destination plus, for every (destination, candidate) pair it
+// evaluates, exactly one of:
 //
-//	BaseResolutions + for each pair: ProjResolutions or Skip*.
+//   - a skip by the zero-utility test or one of the Appendix C.4 rules
+//     (one Skip* counter);
+//   - a predictor hit: the batched move predictor proves the
+//     projection moves no parent, so no propagation runs (ProjUnchanged
+//     only);
+//   - a projected resolution (ProjResolutions), which also bumps
+//     ProjUnchanged when it moves no parent.
 //
-// Projected resolutions are incremental (routing.ApplyFlips): only
-// nodes whose decision inputs can have changed are re-decided
-// (NodesRecomputed); every other node's base-tree decision is provably
-// unchanged and reused (NodesReused).
+// So evaluated pairs = ProjResolutions + Skipped() + predictor hits,
+// and the predictor hits are not counted on their own.
+//
+// Projected resolutions are incremental: only nodes whose decision
+// inputs can have changed are re-decided (NodesRecomputed); every other
+// node's base-tree decision is provably unchanged and reused
+// (NodesReused), and the two add up to the destination's reachable
+// nodes. A resolution takes one of three paths, each counted once in
+// ProjResolutions:
+//
+//   - routing.ApplyFlips, for turn-ons and multi-node flip sets: every
+//     node it re-decides counts in NodesRecomputed;
+//   - the turn-off loss cascade (routing.ApplyTurnOff): every node it
+//     re-decides, c and the secure children of each node that lost
+//     its secure path;
+//   - the turn-off collapse, when the candidate is the destination's
+//     only secure child and the projection is the plain-winner tree:
+//     no node is re-decided, and the nodes whose parent it rewrites
+//     count in NodesRecomputed.
 type RoundStats struct {
 	// Wall is the wall-clock time of the round's utility computation.
 	Wall time.Duration
@@ -41,12 +62,13 @@ type RoundStats struct {
 	// per destination).
 	BaseResolutions int64
 	// ProjResolutions counts projected resolutions actually performed
-	// after the C.4 skip rules.
+	// after the C.4 skip rules and the batched move predictor.
 	ProjResolutions int64
-	// ProjUnchanged counts projected resolutions whose tree routed
-	// identically to the base tree (only Secure flags differed), letting
-	// the engine skip the traffic accumulation pass: the utility delta
-	// is exactly zero.
+	// ProjUnchanged counts projections whose tree routes identically to
+	// the base tree (only Secure flags differ), so the utility delta is
+	// exactly zero and the traffic accumulation pass is skipped: the
+	// predictor hits, which ran no resolution, plus the projected
+	// resolutions that moved no parent.
 	ProjUnchanged int64
 	// SkipZeroUtil counts pairs skipped because the candidate's utility
 	// contribution for the destination is identically zero in every
@@ -157,6 +179,8 @@ func (st *RoundStats) Skipped() int64 {
 
 // String renders a compact one-line digest.
 func (st *RoundStats) String() string {
+	// Predictor hits are in neither term (see RoundStats), so this is
+	// the share of pairs the skip rules left to resolve or predict.
 	pairs := st.ProjResolutions + st.Skipped()
 	resolvedPct := 0.0
 	if pairs > 0 {
@@ -167,7 +191,7 @@ func (st *RoundStats) String() string {
 		reusedPct = 100 * float64(st.NodesReused) / float64(tot)
 	}
 	out := fmt.Sprintf(
-		"%v, %d dests (%d clean, %d dirty), %d cands, static %d/%d hit (%d entries, %dB), dyn %d entries %dB (evict %d), proj %d/%d (%.2f%%; skips: zero-util %d, dest-insecure %d, dest-flip %d, turn-off %d, turn-on %d), unchanged %d, nodes-reused %.1f%%, shards %v/%v (straggler %.2fx), alloc %dB",
+		"%v, %d dests (%d clean, %d dirty), %d cands, static %d/%d hit (%d entries, %dB), dyn %d entries %dB (evict %d), proj %d resolved of %d resolved+skipped (%.2f%%; predictor hits excluded; skips: zero-util %d, dest-insecure %d, dest-flip %d, turn-off %d, turn-on %d), unchanged %d (predictor hits + unmoved resolutions), nodes-reused %.1f%%, shards %v/%v (straggler %.2fx), alloc %dB",
 		st.Wall.Round(time.Microsecond), st.Destinations, st.CleanDests, st.DirtyDests, st.Candidates,
 		st.StaticHits, st.StaticHits+st.StaticMisses, st.StaticCacheEntries, st.StaticCacheBytes,
 		st.DynCacheEntries, st.DynCacheBytes, st.DynCacheEvictions,
