@@ -2,6 +2,8 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -184,7 +186,7 @@ func TestPartialsRoundTrip(t *testing.T) {
 				Shard:  2,
 				UBase:  mk(1.5, math.NaN(), math.Inf(1), math.Copysign(0, -1)),
 				UDelta: mk(0, -2.25, 1e-308, 3),
-				Stats:  sim.ShardStats{WallNS: 123, StaticHits: 1, StaticMisses: 2, StaticCacheBytes: 3, StaticCacheEntries: 4, BaseResolutions: 5, ProjResolutions: 6, ProjUnchanged: 7, SkipZeroUtil: 8, SkipInsecureDest: 9, SkipDestFlip: 10, SkipTurnOff: 11, SkipTurnOn: 12, NodesReused: 13, NodesRecomputed: 14, DirtyDests: 15, CleanDests: 16, DynCacheBytes: 17, DynCacheEntries: 18, DynCacheEvictions: 19, PrefetchHits: 20, PrefetchWasted: 21, StaticPackedBytes: 22, StaticPackedEntries: 23, StaticDiskHits: 24, StaticDiskBytesRead: 25, StaticDiskWrites: 26, PristineReplays: 27, PristineRecords: 28, StreamResolves: 29},
+				Stats:  sim.ShardStats{WallNS: 123, StaticHits: 1, StaticMisses: 2, StaticCacheBytes: 3, StaticCacheEntries: 4, BaseResolutions: 5, ProjResolutions: 6, ProjUnchanged: 7, SkipZeroUtil: 8, SkipInsecureDest: 9, SkipDestFlip: 10, SkipTurnOff: 11, SkipTurnOn: 12, NodesReused: 13, NodesRecomputed: 14, DirtyDests: 15, CleanDests: 16, DynCacheBytes: 17, DynCacheEntries: 18, DynCacheEvictions: 19, StaticPackedBytes: 20, StaticPackedEntries: 21, StaticDiskHits: 22, StaticDiskBytesRead: 23, StaticDiskWrites: 24, PristineReplays: 25, PristineRecords: 26, StreamResolves: 27},
 			},
 			{
 				Shard:  5,
@@ -245,10 +247,8 @@ func TestConfigRoundTrip(t *testing.T) {
 	cfgs := []sim.Config{
 		{},
 		{Model: sim.Incoming, StubsBreakTies: true, StaticCacheBytes: -1},
-		{NoProjectionBatch: true, DynamicCacheBytes: -1},
-		{NoPackedStatics: true, StaticCacheBytes: 1 << 22},
+		{DynamicCacheBytes: -1, StaticStoreDir: "/var/cache/sbgp"},
 		{ProjectStubUpgrades: true, StaticCacheBytes: 1 << 20, DynamicCacheBytes: 1 << 21, Tiebreaker: routing.HashTiebreaker{Seed: 99}},
-		{StaticPrefetch: 4, Tiebreaker: routing.HashTiebreaker{}},
 		{Tiebreaker: routing.LowestIndex{}},
 		{Tiebreaker: routing.PreferenceOrder{Rank: map[int32]map[int32]int{4: {1: 2, 3: 0}}}},
 	}
@@ -268,6 +268,30 @@ func TestConfigRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(want, out) {
 			t.Fatalf("cfg %d: got %+v, want %+v", i, out, want)
 		}
+	}
+}
+
+// TestVersionMismatchRejected: a hello from an older protocol and a
+// config frame from an older config wire version are refused with an
+// error naming both versions, never decoded as today's layout.
+func TestVersionMismatchRejected(t *testing.T) {
+	h := encodeHello(&hello{N: 3, TotalShards: 2, Shards: []int{0, 1}, Config: []byte{1}, Graph: []byte("g")})
+	binary.LittleEndian.PutUint32(h[1:], protoVersion-1)
+	_, err := decodeHello(h)
+	want := fmt.Sprintf("dist: protocol version %d, want %d", protoVersion-1, protoVersion)
+	if err == nil || err.Error() != want {
+		t.Errorf("old hello: got error %v, want %q", err, want)
+	}
+
+	c, err := encodeConfig(sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c[0] = configWireVersion - 1
+	_, err = decodeConfig(c)
+	want = fmt.Sprintf("dist: config wire version %d, want %d", configWireVersion-1, configWireVersion)
+	if err == nil || err.Error() != want {
+		t.Errorf("old config: got error %v, want %q", err, want)
 	}
 }
 

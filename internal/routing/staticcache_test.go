@@ -22,7 +22,7 @@ func TestQuickSnapshotResolutionIdentical(t *testing.T) {
 		tb := HashTiebreaker{Seed: uint64(seed)}
 		wCold := NewWorkspace(g)
 		wWarm := NewWorkspace(g)
-		cache := NewStaticCache(DefaultStaticCacheBytes)
+		cache := NewStaticCache(g, DefaultStaticCacheBytes)
 		// Round 1: fill the cache; every admission must return the stored
 		// snapshot.
 		for d := int32(0); d < int32(n); d++ {
@@ -120,31 +120,47 @@ func TestSnapshotSurvivesWorkspaceReuse(t *testing.T) {
 	}
 }
 
-// TestStaticCacheBudget: admission is first-fit under the byte budget —
-// entries already admitted are pinned, later ones are rejected, and the
+// TestStaticCacheBudget: admission is first-fit under the byte budget.
+// A budget below the packed set repacks on the first overflow, keeps
+// admitting packed entries until the budget is spoken for, then rejects
+// every later one — entries already admitted stay pinned, and the
 // accounted size never exceeds the budget.
 func TestStaticCacheBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := asgraphtest.Random(rng, 20, 0.15, 0.1, 0.25)
+	g := asgraphtest.Random(rng, 60, 0.15, 0.1, 0.25)
 	n := int32(g.N())
 	tb := HashTiebreaker{Seed: 11}
 	w := NewWorkspace(g)
 
-	per := w.PrepareDest(0, tb).MemBytes()
-	budget := 2*per + per/2 // room for exactly two snapshots
-	c := NewStaticCache(budget)
+	var packedSet int64
+	for d := int32(0); d < n; d++ {
+		packedSet += int64(len(AppendPacked(nil, w.PrepareDest(d, tb), g))) + entryOverhead
+	}
+	budget := packedSet / 2
+	if per := w.PrepareDest(0, tb).MemBytes(); budget < 2*per {
+		t.Fatalf("budget %d holds fewer than two unpacked snapshots (%d each): no admission before the repack", budget, per)
+	}
+	c := NewStaticCache(g, budget)
 
-	admitted := 0
+	unpacked := 0
 	for d := int32(0); d < n; d++ {
 		if c.Add(w.PrepareDest(d, tb)) != nil {
-			admitted++
+			unpacked++
 		}
 	}
-	if admitted == 0 || admitted == int(n) {
-		t.Fatalf("admitted %d of %d, want a strict subset under budget %d (per-entry ~%d)", admitted, n, budget, per)
+	if unpacked == 0 {
+		t.Error("no admission went in unpacked before the first overflow")
 	}
-	if c.Entries() != admitted {
-		t.Errorf("Entries() = %d, want %d", c.Entries(), admitted)
+	if !c.Repacked() {
+		t.Fatal("overflow did not repack")
+	}
+	admitted := c.Entries()
+	if admitted <= unpacked || admitted == int(n) {
+		t.Fatalf("admitted %d of %d (%d before the repack), want a strict subset beyond the unpacked prefix under budget %d",
+			admitted, n, unpacked, budget)
+	}
+	if c.PackedEntries() != int64(admitted) {
+		t.Errorf("PackedEntries() = %d, want every entry (%d) packed after the repack", c.PackedEntries(), admitted)
 	}
 	if c.Bytes() > budget {
 		t.Errorf("Bytes() = %d exceeds budget %d", c.Bytes(), budget)
@@ -153,15 +169,18 @@ func TestStaticCacheBudget(t *testing.T) {
 		t.Error("Full() = false after rejected admissions")
 	}
 	// First-fit pinning: the first destinations stay, later ones miss.
-	if c.Get(0, w) == nil {
-		t.Error("first admitted entry evicted")
+	for d := int32(0); d < int32(admitted); d++ {
+		if !c.Has(d) {
+			t.Fatalf("dest %d of the admitted prefix missing", d)
+		}
 	}
 	if c.Get(n-1, w) != nil {
 		t.Error("rejected destination unexpectedly cached")
 	}
 	// Re-adding a rejected destination still fails: the budget is spoken
 	// for and entries are never evicted.
-	if c.Add(w.PrepareDest(n-1, tb)) != nil {
+	c.Add(w.PrepareDest(n-1, tb))
+	if c.Has(n-1) || c.Evictions() != 0 {
 		t.Error("admission succeeded after budget exhaustion")
 	}
 }
@@ -221,7 +240,7 @@ func TestSnapshotMemBytes(t *testing.T) {
 	}
 }
 
-// TestStaticCachePackedRepack: a packed cache starts unpacked, repacks
+// TestStaticCachePackedRepack: a cache starts unpacked, repacks
 // on its first overflow keeping everything resident when the packed
 // set fits, serves bit-exact statics from blobs, and round-trips its
 // contents through ExportPacked/AddBlob (the migration payload path).
@@ -246,7 +265,7 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	if budget >= unpackedTotal {
 		t.Fatalf("graph too small to force repack: packed budget %d >= unpacked %d", budget, unpackedTotal)
 	}
-	c := NewStaticCacheFor(g, budget, true)
+	c := NewStaticCache(g, budget)
 	for d := int32(0); d < n; d++ {
 		c.Add(w.PrepareDest(d, tb))
 	}
@@ -281,7 +300,7 @@ func TestStaticCachePackedRepack(t *testing.T) {
 	if len(blobs) != int(n) {
 		t.Fatalf("ExportPacked returned %d blobs, want %d", len(blobs), n)
 	}
-	c2 := NewStaticCacheFor(g, budget, true)
+	c2 := NewStaticCache(g, budget)
 	for _, bb := range blobs {
 		d, ok := PackedDest(bb)
 		if !ok {
@@ -300,7 +319,7 @@ func TestStaticCachePackedRepack(t *testing.T) {
 
 	// A budget below the packed set forces newest-first eviction, and
 	// the survivors still decode bit-exact.
-	c3 := NewStaticCacheFor(g, budget/6, true)
+	c3 := NewStaticCache(g, budget/6)
 	for d := int32(0); d < n; d++ {
 		c3.Add(w.PrepareDest(d, tb))
 	}
@@ -326,9 +345,9 @@ func TestStaticCachePackedRepack(t *testing.T) {
 
 // TestStaticCacheEvictOnMaterialize: lazy materialization (the delta
 // index built on a cached snapshot) is charged at the next lookup of
-// that destination. An unpacked cache over budget evicts newest-first,
-// sparing the entry being served; a packed cache repacks instead and
-// keeps everything.
+// that destination. Growth that overflows the budget repacks the cache
+// instead of evicting: every destination stays resident, the growing
+// one included, and both decode bit-exact.
 func TestStaticCacheEvictOnMaterialize(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := asgraphtest.Random(rng, 24, 0.15, 0.1, 0.25)
@@ -341,48 +360,33 @@ func TestStaticCacheEvictOnMaterialize(t *testing.T) {
 	// Room for both base snapshots but not for a delta index on top.
 	budget := per0 + per1 + 2*entryOverhead + 32
 
-	c := NewStaticCache(budget)
+	c := NewStaticCache(g, budget)
 	s0 := c.Add(w.PrepareDest(0, tb))
 	s1 := c.Add(w.PrepareDest(1, tb))
 	if s0 == nil || s1 == nil {
 		t.Fatal("admissions rejected under a budget sized for both")
 	}
+	if c.Repacked() {
+		t.Fatal("cache repacked before any overflow")
+	}
+	before := c.Bytes()
 	w.PrepareDelta(s0)
-	got := c.Get(0, w)
-	if got == nil {
-		t.Fatal("in-use destination evicted by its own growth")
+	if c.Bytes() != before {
+		t.Fatal("growth charged before the next lookup")
 	}
-	if c.Evictions() == 0 {
-		t.Fatal("materialization growth over budget evicted nothing")
+	if got := c.Get(0, w); got == nil || !staticsEqual(t, wRef.PrepareDest(0, tb), got, n) {
+		t.Fatal("cache lost or corrupted the growing destination")
 	}
-	if c.Get(1, w) != nil {
-		t.Fatal("newest entry survived the overflow")
+	if !c.Repacked() {
+		t.Fatal("growth over budget did not repack")
+	}
+	if c.Evictions() != 0 {
+		t.Fatalf("cache evicted %d entries despite the packed set fitting", c.Evictions())
 	}
 	if c.Bytes() > budget {
-		t.Fatalf("Bytes() = %d exceeds budget %d after eviction", c.Bytes(), budget)
+		t.Fatalf("Bytes() = %d exceeds budget %d after the repack", c.Bytes(), budget)
 	}
-	if !staticsEqual(t, wRef.PrepareDest(0, tb), got, n) {
-		t.Fatal("survivor differs from a cold build after eviction")
-	}
-
-	// Packed: the same overflow repacks instead, and both destinations
-	// stay resident (the packed set fits with room to spare).
-	cp := NewStaticCacheFor(g, budget, true)
-	p0 := cp.Add(w.PrepareDest(0, tb))
-	if cp.Add(w.PrepareDest(1, tb)) == nil || p0 == nil {
-		t.Fatal("packed cache rejected base admissions")
-	}
-	w.PrepareDelta(p0)
-	if got := cp.Get(0, w); got == nil || !staticsEqual(t, wRef.PrepareDest(0, tb), got, n) {
-		t.Fatal("packed cache lost or corrupted the growing destination")
-	}
-	if !cp.Repacked() {
-		t.Fatal("packed cache evaded the overflow without repacking")
-	}
-	if cp.Evictions() != 0 {
-		t.Fatalf("packed cache evicted %d entries despite the packed set fitting", cp.Evictions())
-	}
-	if got := cp.Get(1, w); got == nil || !staticsEqual(t, wRef.PrepareDest(1, tb), got, n) {
-		t.Fatal("packed cache lost the other destination across the repack")
+	if got := c.Get(1, w); got == nil || !staticsEqual(t, wRef.PrepareDest(1, tb), got, n) {
+		t.Fatal("cache lost the other destination across the repack")
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // would have produced, and every validation failure falls back to the
 // BFS — so Results are bit-identical with the tier off, cold, warm,
 // after a process restart, and with the store arbitrarily corrupted, at
-// any worker count, cache budget, and prefetch depth. This is the
-// invariant that lets Config.Fingerprint exclude StaticStoreDir.
+// any worker count and cache budget. This is the invariant that lets
+// Config.Fingerprint exclude StaticStoreDir.
 func TestDiskStoreResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -45,18 +46,15 @@ func TestDiskStoreResultInvariant(t *testing.T) {
 		refs = append(refs, ref)
 
 		for _, budget := range []int64{0, tinyBudget, -1} {
-			for _, depth := range []int{0, 4} {
-				cfg := base
-				cfg.StaticCacheBytes = budget
-				cfg.StaticPrefetch = depth
-				cfg.StaticStoreDir = root
-				got := MustNew(g, cfg).Run()
-				label := map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
-				label = "workers=" + itoa(workers) + "/budget=" + label + "/depth=" + itoa(depth)
-				requireBitIdentical(t, label, ref, got)
-				if base.Fingerprint() != cfg.Fingerprint() {
-					t.Errorf("%s: StaticStoreDir changed the fingerprint", label)
-				}
+			cfg := base
+			cfg.StaticCacheBytes = budget
+			cfg.StaticStoreDir = root
+			got := MustNew(g, cfg).Run()
+			label := map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
+			label = "workers=" + itoa(workers) + "/budget=" + label
+			requireBitIdentical(t, label, ref, got)
+			if base.Fingerprint() != cfg.Fingerprint() {
+				t.Errorf("%s: StaticStoreDir changed the fingerprint", label)
 			}
 		}
 	}
@@ -124,6 +122,69 @@ func TestDiskStoreResultInvariant(t *testing.T) {
 	requireBitIdentical(t, "repaired-store", refs[1], got)
 	if hits := got.PristineStats.StaticDiskHits; hits != int64(g.N()) {
 		t.Errorf("repaired-store: %d disk hits, want %d (repair incomplete)", hits, g.N())
+	}
+}
+
+// TestDiskStoreEncodeOnce: once a cache has repacked, fetchStatic
+// encodes each fresh static once and hands the same bytes to the store
+// and to the cache. After a cold tiny-budget run every destination is
+// written to the store exactly once — later rounds read it back — and
+// every blob a cache holds is byte-equal to the stored one.
+func TestDiskStoreEncodeOnce(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 7))
+	g.SetCPTrafficFraction(0.10)
+	adopters := append(g.Nodes(asgraph.ContentProvider),
+		asgraph.TopByDegree(g, 3, asgraph.ISP)...)
+	defer routing.CloseSharedDiskStores()
+	cfg := Config{
+		Theta:             0.05,
+		EarlyAdopters:     adopters,
+		StaticCacheBytes:  40_000, // a few unpacked snapshots per shard, then the repack
+		DynamicCacheBytes: -1,
+		StaticStoreDir:    t.TempDir(),
+	}
+	const total = 2
+	eng, err := NewShardEngine(g, cfg, []int{0, 1}, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.disk == nil {
+		t.Fatal("store did not open")
+	}
+	n := g.N()
+	st := RoundState{Secure: make([]bool, n), Breaks: make([]bool, n)}
+	for _, a := range adopters {
+		st.Secure[a] = true
+	}
+	// Sidecar records share the disk write counter: every one is a
+	// fresh sidecar on a cold store, so the rest are static writes.
+	var staticWrites int64
+	for round := 0; round < 3; round++ {
+		for _, p := range eng.ComputeRound(st, g.ISPs()) {
+			staticWrites += p.Stats.StaticDiskWrites - p.Stats.PristineRecords
+		}
+	}
+	if staticWrites != int64(n) || eng.disk.Entries() != n {
+		t.Fatalf("%d static writes for %d stored destinations, want %d each", staticWrites, eng.disk.Entries(), n)
+	}
+	cached := 0
+	for i, wk := range eng.pool {
+		if !wk.cache.Repacked() {
+			t.Fatalf("shard %d never repacked", eng.shards[i])
+		}
+		for d := int32(eng.shards[i]); int(d) < n; d += total {
+			blob := wk.cache.GetBlob(d)
+			if blob == nil {
+				continue
+			}
+			cached++
+			if !bytes.Equal(blob, eng.disk.Lookup(d)) {
+				t.Fatalf("dest %d: cached blob differs from the stored one", d)
+			}
+		}
+	}
+	if cached == 0 {
+		t.Fatal("no cached blobs to compare")
 	}
 }
 

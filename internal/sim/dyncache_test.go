@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -313,8 +314,9 @@ func TestDynCacheFingerprintExcluded(t *testing.T) {
 
 // TestRecordMemStatsDecisions: memory sampling is observability only —
 // decisions are identical with stats off, with RecordStats, and with
-// RecordStats+RecordMemStats; AllocBytes is recorded only when asked
-// for (the ReadMemStats pair stops the world and would skew Wall).
+// RecordStats+RecordMemStats; AllocBytes is recorded — and printed by
+// RoundStats.String — only when asked for (the ReadMemStats pair stops
+// the world and would skew Wall).
 func TestRecordMemStatsDecisions(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 5))
 	g.SetCPTrafficFraction(0.10)
@@ -340,11 +342,34 @@ func TestRecordMemStatsDecisions(t *testing.T) {
 		if rd.Stats.AllocBytes != 0 {
 			t.Errorf("round %d: AllocBytes=%d recorded without RecordMemStats", r, rd.Stats.AllocBytes)
 		}
+		if line := rd.Stats.String(); strings.Contains(line, "alloc") {
+			t.Errorf("round %d: unsampled memory printed: %s", r, line)
+		}
 	}
 
 	cfg.RecordMemStats = true
 	memOn := MustNew(g, cfg).Run()
 	if !reflect.DeepEqual(decisionsOf(ref), decisionsOf(memOn)) {
 		t.Error("RecordMemStats changed decisions")
+	}
+	for r, rd := range memOn.Rounds {
+		want := fmt.Sprintf(", alloc %dB", rd.Stats.AllocBytes)
+		if line := rd.Stats.String(); rd.Stats.AllocBytes > 0 && !strings.Contains(line, want) {
+			t.Errorf("round %d: sampled memory missing %q: %s", r, want, line)
+		}
+	}
+}
+
+// TestRoundStatsStringAlloc: the alloc segment follows the packed and
+// disk segments' rule — printed only when there is something to show —
+// so an unsampled round never reports a false "alloc 0B".
+func TestRoundStatsStringAlloc(t *testing.T) {
+	st := RoundStats{Destinations: 10}
+	if line := st.String(); strings.Contains(line, "alloc") {
+		t.Errorf("unsampled round printed an alloc segment: %s", line)
+	}
+	st.AllocBytes = 4096
+	if line := st.String(); !strings.HasSuffix(line, ", alloc 4096B") {
+		t.Errorf("sampled round lacks its alloc segment: %s", line)
 	}
 }

@@ -420,8 +420,6 @@ func (s *Sim) computeRound(st *deployState, candidates []bool) (uBase, uProj []f
 		stats.DynCacheBytes = sum.DynCacheBytes
 		stats.DynCacheEntries = int(sum.DynCacheEntries)
 		stats.DynCacheEvictions = sum.DynCacheEvictions
-		stats.PrefetchHits = sum.PrefetchHits
-		stats.PrefetchWasted = sum.PrefetchWasted
 		stats.StaticPackedBytes = sum.StaticPackedBytes
 		stats.StaticPackedEntries = sum.StaticPackedEntries
 		stats.StaticDiskHits = sum.StaticDiskHits
@@ -486,8 +484,8 @@ type roundCtx struct {
 	cfg      *Config
 	weights  []float64
 	// candMark marks candList membership by node index (always non-nil
-	// when candList is nonempty): the O(1) test destUntouchable and the
-	// prefetcher use to prove a destination needs no projection scratch.
+	// when candList is nonempty): the O(1) test destUntouchable uses to
+	// prove a destination needs no projection scratch.
 	candMark []bool
 
 	// Realized flips dynPrev → st (empty when the states coincide or
@@ -520,7 +518,6 @@ type worker struct {
 	cache       *routing.StaticCache       // per-worker static snapshots; nil = disabled
 	shared      *routing.SharedStaticCache // graph-level store; replaces cache when set
 	disk        *routing.StaticDiskStore   // persistent L2 tier; nil = disabled
-	pf          *prefetcher                // static prefetch pipeline; nil = disabled
 	dyn         *dynCache                  // per-worker contribution records; nil = disabled
 	isps        []int32                    // shared class index list (asgraph.Graph.ISPs)
 	baseTree    routing.Tree
@@ -546,17 +543,16 @@ type worker struct {
 	// Streaming-resolve and pristine-replay state (see processDest's
 	// tier dispatch). stream is the fused blob-walk resolver's scratch,
 	// built lazily on the first streamed destination; scEntries/scBuf/
-	// scPayload are the sidecar record/decode/encode buffers; preStash
-	// parks a prefetch item streamResolve consumed but could not use
-	// (snapshot form) for fetchStatic to pick up; recordSC marks the
-	// current destination for sidecar recording on the normal path.
-	stream     *routing.StreamStatic
-	scEntries  []routing.SidecarEntry
-	scBuf      []routing.SidecarEntry
-	scPayload  []byte
-	preStash   prefItem
-	preStashed bool
-	recordSC   bool
+	// scPayload are the sidecar record/decode/encode buffers; recordSC
+	// marks the current destination for sidecar recording on the normal
+	// path. encBuf holds fetchStatic's one encode of a fresh static,
+	// shared by the disk write-through and the cache admission.
+	stream    *routing.StreamStatic
+	scEntries []routing.SidecarEntry
+	scBuf     []routing.SidecarEntry
+	scPayload []byte
+	encBuf    []byte
+	recordSC  bool
 }
 
 // workerStats counts this worker's share of the round's resolution work;
@@ -578,8 +574,6 @@ type workerStats struct {
 	nodesRecomputed  int64
 	dynClean         int64
 	dynDirty         int64
-	prefetchHits     int64
-	prefetchWasted   int64
 
 	// Disk-tier traffic (Config.StaticStoreDir): lookups served by a
 	// stored blob (and the bytes decoded), plus records this worker
@@ -653,7 +647,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// failure they fall through to the normal path.
 	rec := wk.dyn.get(d)
 	wk.recordSC = false
-	if rec == nil && !cfg.NoStreamResolve {
+	if rec == nil {
 		insecure := !st.secure[d]
 		if len(rc.candList) == 0 || wk.destUntouchable(d, rc) {
 			if insecure && wk.replaySidecar(d, rc) {
@@ -716,10 +710,6 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 				if treeChanged || hit {
 					rec.deltasValid = false
 				}
-				if wk.pf != nil && wk.pf.discard(d) {
-					// Replay needs no static: release the pipeline's item.
-					wk.stats.prefetchWasted++
-				}
 				wk.stats.dynClean++
 				return
 			}
@@ -732,9 +722,6 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 				wk.uDelta[e.node] += e.val
 			}
 			rec.dirtyStreak = 0
-			if wk.pf != nil && wk.pf.discard(d) {
-				wk.stats.prefetchWasted++
-			}
 			wk.stats.dynClean++
 			return
 		} else {
@@ -861,7 +848,7 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// skipped projection contributes no touched nodes to the record's
 	// witness, which must cover everything that can make its delta
 	// nonzero later.
-	useBatch := !cfg.NoProjectionBatch && !recWitness
+	useBatch := !cfg.noProjectionBatch && !recWitness
 	// The dependents index (plus predictor) and the base-tree copy and
 	// child index that change propagation works on are built lazily:
 	// the former when some candidate survives the skip rules, the
@@ -1021,123 +1008,79 @@ func (wk *worker) projectDelta(rc *roundCtx, stc *routing.Static, tree *routing.
 }
 
 // fetchStatic serves destination d's static snapshot: worker or shared
-// cache first, then a prefetch-pipeline item (one parked by
-// streamResolve included), then the disk tier, and the inline
-// three-stage BFS last — admitting and write-through persisting fresh
-// results so this (graph, tiebreaker, destination) never pays the BFS
-// again in any later round, Run, simulation or process. Same bytes in
-// every combination: a decoded blob reproduces PrepareDest's output
-// exactly (see packed.go), disk blobs are CRC-checked by Lookup and
+// cache first, then the disk tier, and the inline three-stage BFS last
+// — admitting and write-through persisting fresh results so this
+// (graph, tiebreaker, destination) never pays the BFS again in any
+// later round, Run, simulation or process. Same bytes in every
+// combination: a decoded blob reproduces PrepareDest's output exactly
+// (see packed.go), disk blobs are CRC-checked by Lookup and
 // structurally validated by the decode, and any failure drops the
 // record and falls back to the BFS — corruption can cost time, never
 // bits.
 func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
-	cfg := rc.cfg
 	stc := wk.cache.Get(d, wk.ws)
 	if stc == nil {
 		stc = wk.shared.Get(d, wk.ws)
 	}
 	if stc != nil {
 		wk.stats.staticHits++
-		if wk.pf != nil && wk.pf.discard(d) {
-			// The pipeline computed a destination the cache ended up
-			// serving anyway (a shared store fed by a concurrent worker).
-			wk.stats.prefetchWasted++
-		}
 		return stc
 	}
-	var pre prefItem
-	havePre := false
-	if wk.preStashed {
-		// streamResolve already took d's pipeline item but could not use
-		// its snapshot form: consume the parked item, not a second take.
-		pre, havePre = wk.preStash, true
-		wk.preStash = prefItem{}
-		wk.preStashed = false
-	} else if wk.pf != nil {
-		pre, havePre = wk.pf.take(d)
-	}
-	var blobUsed []byte // packed bytes stc was decoded from, if any
+	var blob []byte // packed bytes of stc, if any
 	fromDisk := false
-	if havePre && pre.blob != nil {
-		// Trusted decode: pipeline-built blobs were encoded in this
-		// process, and disk-read ones passed Lookup's CRC — either way
-		// the 2^-32 residual risk of an in-range-but-wrong field is
-		// carried by the checksum, not by per-member revalidation.
-		var err error
-		stc, err = wk.ws.DecodePackedTrusted(pre.blob)
-		if err != nil {
-			// Pipeline-built blobs can't be corrupt, but disk-read
-			// ones can: drop the poisoned record (the write-through
-			// below repairs it) and fall back to the inline build.
-			if pre.fromDisk {
-				wk.disk.Drop(d)
-			}
-			havePre = false
+	if b := wk.disk.Lookup(d); b != nil {
+		// Trusted decode: Lookup verified the CRC, which carries the
+		// 2^-32 residual risk of an in-range-but-wrong field. A record
+		// that still fails is dropped; the write-through below repairs it.
+		if s, err := wk.ws.DecodePackedTrusted(b); err == nil {
+			stc, blob, fromDisk = s, b, true
 		} else {
-			blobUsed = pre.blob
-			fromDisk = pre.fromDisk
+			wk.disk.Drop(d)
 		}
-	} else if havePre {
-		stc = pre.snap
 	}
-	if stc == nil && wk.disk != nil {
-		if blob := wk.disk.Lookup(d); blob != nil {
-			if s, err := wk.ws.DecodePackedTrusted(blob); err == nil {
-				stc = s
-				blobUsed = blob
-				fromDisk = true
+	// Once a cache has repacked it admits fresh statics packed, so
+	// with a store bound the one encode below feeds both tiers.
+	repacked := wk.cache.Repacked() || wk.shared.Repacked()
+	if stc == nil {
+		stc = wk.ws.PrepareDest(d, rc.cfg.Tiebreaker)
+		if wk.disk != nil {
+			var wrote bool
+			if repacked {
+				wk.encBuf = routing.AppendPacked(wk.encBuf[:0], stc, wk.ws.Graph())
+				blob = wk.encBuf
+				wrote = wk.disk.Put(d, blob)
 			} else {
-				wk.disk.Drop(d)
+				wrote = wk.disk.PutStatic(stc)
+			}
+			if wrote {
+				wk.stats.staticDiskWrites++
 			}
 		}
-	}
-	if stc == nil {
-		stc = wk.ws.PrepareDest(d, cfg.Tiebreaker)
-	}
-	if havePre {
-		wk.stats.prefetchHits++
 	}
 	if fromDisk {
 		// Served by the disk tier: the BFS was skipped, so this is
 		// counted as a disk hit, not a static miss.
 		wk.stats.staticDiskHits++
-		wk.stats.staticDiskBytesRead += int64(len(blobUsed))
+		wk.stats.staticDiskBytesRead += int64(len(blob))
 	} else if wk.shared != nil || wk.cache != nil {
 		wk.stats.staticMisses++
 	}
-	// Write-through: persist every freshly computed static (inline or
-	// pipeline-built). Pipeline blobs are persisted as-is, no re-encode.
-	if wk.disk != nil && !fromDisk {
-		var wrote bool
-		if blobUsed != nil {
-			wrote = wk.disk.Put(d, blobUsed)
-		} else {
-			wrote = wk.disk.PutStatic(stc)
-		}
-		if wrote {
-			wk.stats.staticDiskWrites++
-		}
-	}
+	// Admission: packed bytes already in hand go in as-is (a private
+	// cache takes a disk blob even before its repack, sparing the
+	// snapshot copy and that entry's share of the repack); everything
+	// else is snapshotted, or encoded by the cache itself.
 	switch {
 	case wk.shared != nil:
-		if snap := wk.shared.Add(wk.ws, stc); snap != nil {
+		if blob != nil && repacked {
+			wk.shared.AddBlob(d, blob)
+		} else if snap := wk.shared.Add(wk.ws, stc); snap != nil {
 			stc = snap
 		}
 	case wk.cache != nil:
-		switch {
-		case blobUsed != nil && wk.cache.Packed():
-			// The packed bytes are already built: admit them as-is —
-			// no re-encode, no snapshot copy, and (pre-repack) no
-			// share of the eventual repack pass.
-			wk.cache.AddBlob(d, blobUsed)
-		case havePre && !fromDisk && pre.snap != nil:
-			// Already a self-contained snapshot: admit it as-is.
-			wk.cache.AddOwned(stc)
-		default:
-			if snap := wk.cache.Add(stc); snap != nil {
-				stc = snap
-			}
+		if blob != nil {
+			wk.cache.AddBlob(d, blob)
+		} else if snap := wk.cache.Add(stc); snap != nil {
+			stc = snap
 		}
 	}
 	return stc
@@ -1235,9 +1178,6 @@ func (wk *worker) replaySidecar(d int32, rc *roundCtx) bool {
 			wk.cache.SidecarPut(kind, d, payload)
 		}
 	}
-	if wk.pf != nil && wk.pf.discard(d) {
-		wk.stats.prefetchWasted++
-	}
 	wk.stats.pristineReplays++
 	return true
 }
@@ -1261,28 +1201,10 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 	if blob == nil {
 		blob = wk.shared.GetBlob(d)
 	}
-	fromCache := blob != nil
-	havePre := false
 	fromDisk := false
-	if blob == nil && wk.pf != nil {
-		if p, ok := wk.pf.take(d); ok {
-			if p.blob == nil {
-				// Snapshot-form pipeline result: the streaming walk needs
-				// packed bytes. Park it for fetchStatic and recompute.
-				wk.preStash = p
-				wk.preStashed = true
-				return false
-			}
-			havePre = true
-			blob = p.blob
-			fromDisk = p.fromDisk
-		}
-	}
-	if blob == nil && wk.disk != nil {
-		if b := wk.disk.Lookup(d); b != nil {
-			blob = b
-			fromDisk = true
-		}
+	if blob == nil {
+		blob = wk.disk.Lookup(d)
+		fromDisk = blob != nil
 	}
 	if blob == nil {
 		return false
@@ -1291,43 +1213,27 @@ func (wk *worker) streamResolve(d int32, rc *roundCtx, record bool) bool {
 		wk.stream = routing.NewStreamStatic(wk.ws.Graph())
 	}
 	if wk.stream.Resolve(blob, st.secure, st.breaks, cfg.Tiebreaker) != nil {
-		// Cache- and pipeline-built blobs can't be corrupt; disk blobs
-		// can — drop the poisoned record (a later write-through repairs
-		// it) and recompute. A consumed pipeline item is simply lost.
+		// Cache-held blobs can't be corrupt; disk blobs can — drop the
+		// poisoned record (a later write-through repairs it) and
+		// recompute.
 		if fromDisk {
 			wk.disk.Drop(d)
 		}
 		return false
 	}
 	sr := wk.stream
-	switch {
-	case fromDisk:
+	if fromDisk {
 		wk.stats.staticDiskHits++
 		wk.stats.staticDiskBytesRead += int64(len(blob))
-	case havePre:
-		wk.stats.staticMisses++
-	default:
-		wk.stats.staticHits++
-	}
-	if havePre {
-		wk.stats.prefetchHits++
-	}
-	if fromCache {
-		if wk.pf != nil && wk.pf.discard(d) {
-			wk.stats.prefetchWasted++
-		}
-	} else {
-		// Write-through and admission, as the normal path would: persist
-		// fresh pipeline blobs, publish every streamed blob to the
-		// resident tier so later rounds stream it from memory.
-		if wk.disk != nil && !fromDisk && wk.disk.Put(d, blob) {
-			wk.stats.staticDiskWrites++
-		}
+		// Publish the blob to the resident tier, as the normal path
+		// would, so later rounds stream it from memory.
 		if wk.shared != nil {
 			wk.shared.AddBlob(d, blob)
 		} else {
 			wk.cache.AddBlob(d, blob)
 		}
+	} else {
+		wk.stats.staticHits++
 	}
 
 	// Reverse accumulation over the entry arrays — the same float

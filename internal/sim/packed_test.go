@@ -11,10 +11,9 @@ import (
 // TestPackedStaticsResultInvariant: packed cache storage is a pure
 // representation change — a decoded blob reproduces PrepareDest's
 // output bit for bit (routing/packed.go), admissions and lookups keep
-// the same stripe order — so Results are bit-identical with packing on
-// or off, at any worker count, any budget, and with the prefetch
-// pipeline feeding blobs. This is the invariant that lets
-// Config.Fingerprint exclude NoPackedStatics.
+// the same stripe order — so Results are bit-identical to a run with
+// no layer that holds a blob, at any worker count and any budget,
+// including one small enough to force the repack.
 func TestPackedStaticsResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -22,7 +21,7 @@ func TestPackedStaticsResultInvariant(t *testing.T) {
 		asgraph.TopByDegree(g, 3, asgraph.ISP)...)
 
 	// ~10 KB per unpacked snapshot at N=300: the tiny budget overflows
-	// immediately, forcing the repack and — packed off — rejections.
+	// immediately, forcing the repack.
 	const tinyBudget = 40_000
 
 	for _, workers := range []int{1, 3, 5} {
@@ -34,40 +33,28 @@ func TestPackedStaticsResultInvariant(t *testing.T) {
 			Workers:         workers,
 			RecordUtilities: true,
 			RecordStats:     true,
-			NoPackedStatics: true,
 		}
-		ref := MustNew(g, base).Run()
+		ref := MustNew(g, layerFreeConfig(base)).Run()
 
-		for _, budget := range []int64{0, -1, tinyBudget} {
-			for _, packed := range []bool{true, false} {
-				for _, depth := range []int{0, 4} {
-					cfg := base
-					cfg.StaticCacheBytes = budget
-					cfg.NoPackedStatics = !packed
-					cfg.StaticPrefetch = depth
-					got := MustNew(g, cfg).Run()
-					label := map[int64]string{0: "default", -1: "disabled", tinyBudget: "tiny"}[budget]
-					label = "workers=" + itoa(workers) + "/budget=" + label +
-						"/packed=" + map[bool]string{true: "on", false: "off"}[packed] +
-						"/depth=" + itoa(depth)
-					requireBitIdentical(t, label, ref, got)
-					if base.Fingerprint() != cfg.Fingerprint() {
-						t.Errorf("%s: NoPackedStatics or StaticPrefetch changed the fingerprint", label)
+		for _, budget := range []int64{0, tinyBudget} {
+			cfg := base
+			cfg.StaticCacheBytes = budget
+			got := MustNew(g, cfg).Run()
+			label := map[int64]string{0: "default", tinyBudget: "tiny"}[budget]
+			label = "workers=" + itoa(workers) + "/budget=" + label
+			requireBitIdentical(t, label, ref, got)
+			// The tiny budget must actually exercise the packed phase:
+			// caches overflow, repack, and report blob residency in the
+			// round stats.
+			if budget == tinyBudget {
+				var packedEntries int64
+				for _, rd := range got.Rounds {
+					if rd.Stats != nil {
+						packedEntries += rd.Stats.StaticPackedEntries
 					}
-					// The tiny budget must actually exercise the packed
-					// phase: caches overflow, repack, and report blob
-					// residency in the round stats.
-					if packed && budget == tinyBudget {
-						var packedEntries int64
-						for _, rd := range got.Rounds {
-							if rd.Stats != nil {
-								packedEntries += rd.Stats.StaticPackedEntries
-							}
-						}
-						if packedEntries == 0 {
-							t.Errorf("%s: tiny budget never repacked", label)
-						}
-					}
+				}
+				if packedEntries == 0 {
+					t.Errorf("%s: tiny budget never repacked", label)
 				}
 			}
 		}
@@ -78,8 +65,7 @@ func TestPackedStaticsResultInvariant(t *testing.T) {
 // ExportStatics on the source engine, ImportStatics on a cold
 // destination engine — leaves the destination fully warm (zero static
 // misses on its first round) and bit-identical to the source's own
-// partials. With NoPackedStatics the export is empty and the handoff
-// degrades to the old cold migration.
+// partials.
 func TestShardEngineStaticsHandoff(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 7))
 	g.SetCPTrafficFraction(0.10)
@@ -129,29 +115,5 @@ func TestShardEngineStaticsHandoff(t *testing.T) {
 			math.Float64bits(wantDelta[i]) != math.Float64bits(got[0].UDelta[i]) {
 			t.Fatalf("partials differ at node %d after warm handoff", i)
 		}
-	}
-
-	// Packed off: nothing exports, imports are ignored.
-	cfgOff := cfg
-	cfgOff.NoPackedStatics = true
-	srcOff, err := NewShardEngine(g, cfgOff, []int{0, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcOff.ComputeRound(st, cands)
-	if err := srcOff.RemoveShards([]int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if off := srcOff.ExportStatics([]int{0}); off != nil {
-		t.Errorf("NoPackedStatics exported %d blobs", len(off))
-	}
-	dstOff, err := NewShardEngine(g, cfgOff, []int{0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstOff.ImportStatics(blobs) // must be a no-op, not a poisoned cache
-	gotOff := dstOff.ComputeRound(st, cands)
-	if gotOff[0].Stats.StaticHits != 0 {
-		t.Errorf("NoPackedStatics destination reported %d warm hits", gotOff[0].Stats.StaticHits)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"sbgp/internal/asgraph"
@@ -21,6 +22,20 @@ func utilsBitIdentical(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// itoa labels subtests.
+func itoa(v int) string { return strconv.Itoa(v) }
+
+// layerFreeConfig returns cfg, which must set no store, with the static
+// and dynamic caches off. Nothing then holds a packed blob or a record,
+// so every destination takes the plain BFS → resolve → accumulate path
+// every round — the reference the layer-invariance tests compare
+// against.
+func layerFreeConfig(cfg Config) Config {
+	cfg.StaticCacheBytes = -1
+	cfg.DynamicCacheBytes = -1
+	return cfg
 }
 
 // requireBitIdentical fails unless two Results agree on every decision

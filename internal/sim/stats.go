@@ -110,14 +110,6 @@ type RoundStats struct {
 	DynCacheBytes     int64
 	DynCacheEntries   int
 	DynCacheEvictions int64
-	// PrefetchHits counts destinations whose static snapshot was served
-	// by the per-shard prefetch pipeline (Config.StaticPrefetch) instead
-	// of an inline three-stage BFS; PrefetchWasted counts prefetched
-	// snapshots dropped unused (the cache ended up serving the
-	// destination anyway — a shared store fed by a concurrent worker).
-	// Both stay zero with prefetching disabled.
-	PrefetchHits   int64
-	PrefetchWasted int64
 	// StaticDiskHits counts destinations served by the persistent disk
 	// tier (Config.StaticStoreDir): a stored packed blob was read,
 	// CRC-checked and decoded instead of running the three-stage BFS
@@ -133,16 +125,17 @@ type RoundStats struct {
 	// StreamResolves those served by the fused streaming resolver over a
 	// packed blob (Tier B; counted on top of BaseResolutions), and
 	// PristineRecords the sidecars recorded this round. All three stay
-	// zero under Config.NoStreamResolve. Sidecar disk reads and writes
-	// are included in the StaticDisk* counters above.
+	// zero when no cache or store holds a blob (static caching off and
+	// no StaticStoreDir). Sidecar disk reads and writes are included in
+	// the StaticDisk* counters above.
 	PristineReplays int64
 	PristineRecords int64
 	StreamResolves  int64
 	// StaticPackedEntries/StaticPackedBytes count the cache entries held
 	// in packed form and the blob bytes they occupy (a subset of
 	// StaticCacheEntries/StaticCacheBytes; see routing/packed.go). Both
-	// stay zero until a cache overflows its budget and repacks, and with
-	// Config.NoPackedStatics set.
+	// stay zero until a cache overflows its budget and repacks (or
+	// admits a blob read from the disk tier).
 	StaticPackedEntries int64
 	StaticPackedBytes   int64
 	// ShardWallMax and ShardWallMin are the slowest and fastest logical
@@ -167,7 +160,7 @@ type RoundStats struct {
 	ShardsMigrated int
 	// AllocBytes is the heap allocated during the round (runtime
 	// TotalAlloc delta; recorded only under Config.RecordMemStats, since
-	// the ReadMemStats pair stops the world).
+	// the ReadMemStats pair stops the world). Zero means not sampled.
 	AllocBytes uint64
 }
 
@@ -191,17 +184,16 @@ func (st *RoundStats) String() string {
 		reusedPct = 100 * float64(st.NodesReused) / float64(tot)
 	}
 	out := fmt.Sprintf(
-		"%v, %d dests (%d clean, %d dirty), %d cands, static %d/%d hit (%d entries, %dB), dyn %d entries %dB (evict %d), proj %d resolved of %d resolved+skipped (%.2f%%; predictor hits excluded; skips: zero-util %d, dest-insecure %d, dest-flip %d, turn-off %d, turn-on %d), unchanged %d (predictor hits + unmoved resolutions), nodes-reused %.1f%%, shards %v/%v (straggler %.2fx), alloc %dB",
+		"%v, %d dests (%d clean, %d dirty), %d cands, static %d/%d hit (%d entries, %dB), dyn %d entries %dB (evict %d), proj %d resolved of %d resolved+skipped (%.2f%%; predictor hits excluded; skips: zero-util %d, dest-insecure %d, dest-flip %d, turn-off %d, turn-on %d), unchanged %d (predictor hits + unmoved resolutions), nodes-reused %.1f%%, shards %v/%v (straggler %.2fx)",
 		st.Wall.Round(time.Microsecond), st.Destinations, st.CleanDests, st.DirtyDests, st.Candidates,
 		st.StaticHits, st.StaticHits+st.StaticMisses, st.StaticCacheEntries, st.StaticCacheBytes,
 		st.DynCacheEntries, st.DynCacheBytes, st.DynCacheEvictions,
 		st.ProjResolutions, pairs, resolvedPct,
 		st.SkipZeroUtil, st.SkipInsecureDest, st.SkipDestFlip, st.SkipTurnOff, st.SkipTurnOn,
 		st.ProjUnchanged, reusedPct,
-		st.ShardWallMin.Round(time.Microsecond), st.ShardWallMax.Round(time.Microsecond), st.StragglerRatio,
-		st.AllocBytes)
-	if st.PrefetchHits > 0 || st.PrefetchWasted > 0 {
-		out += fmt.Sprintf(", prefetch %d hit (%d wasted)", st.PrefetchHits, st.PrefetchWasted)
+		st.ShardWallMin.Round(time.Microsecond), st.ShardWallMax.Round(time.Microsecond), st.StragglerRatio)
+	if st.AllocBytes > 0 {
+		out += fmt.Sprintf(", alloc %dB", st.AllocBytes)
 	}
 	if st.StaticPackedEntries > 0 {
 		out += fmt.Sprintf(", packed %d entries %dB", st.StaticPackedEntries, st.StaticPackedBytes)

@@ -13,10 +13,10 @@ import (
 // streamed resolution replays decideNode's decisions over the same
 // packed bytes, and a sidecar replay re-adds the recorded float64 bit
 // patterns the fresh support loop would produce in the same order — so
-// Results are bit-identical with streaming on or off, at any worker
-// count, cache budget, prefetch depth, packed setting, and disk-tier
-// state, under both utility models and both tie-break policies. This is
-// the invariant that lets Config.Fingerprint exclude NoStreamResolve.
+// Results are bit-identical to a run with no layer that holds a blob
+// (which never streams), at any worker count, cache budget and
+// disk-tier state, under both utility models and both tie-break
+// policies.
 func TestStreamingResolveResultInvariant(t *testing.T) {
 	g := topogen.MustGenerate(topogen.Default(300, 13))
 	g.SetCPTrafficFraction(0.10)
@@ -31,10 +31,8 @@ func TestStreamingResolveResultInvariant(t *testing.T) {
 	defer routing.CloseSharedDiskStores()
 
 	type variant struct {
-		budget   int64
-		depth    int
-		noPacked bool
-		disk     bool
+		budget int64
+		disk   bool
 	}
 	cases := []struct {
 		model    UtilityModel
@@ -44,16 +42,18 @@ func TestStreamingResolveResultInvariant(t *testing.T) {
 	}{
 		// The full worker × cache axis under the default model/policy…
 		{Outgoing, true, []int{1, 3, 5}, []variant{
-			{0, 0, false, false},
-			{tinyBudget, 4, false, true},
-			{-1, 0, true, false},
+			{0, false},
+			{tinyBudget, false},
+			{tinyBudget, true},
+			{-1, true},
 		}},
 		// …and every other (model, policy) corner against the tiers the
-		// streaming dispatch actually branches on: packed + disk (Tier A
-		// replay and Tier B streaming) and packed-off (full fallback).
-		{Outgoing, false, []int{3}, []variant{{0, 4, false, true}, {0, 0, true, false}}},
-		{Incoming, true, []int{3}, []variant{{0, 4, false, true}, {-1, 0, true, false}}},
-		{Incoming, false, []int{5}, []variant{{tinyBudget, 0, false, true}, {0, 4, false, false}}},
+		// streaming dispatch actually branches on: cache + disk (Tier A
+		// replay and Tier B streaming), disk alone, and a repacked cache
+		// alone.
+		{Outgoing, false, []int{3}, []variant{{0, true}, {tinyBudget, false}}},
+		{Incoming, true, []int{3}, []variant{{0, true}, {-1, true}}},
+		{Incoming, false, []int{5}, []variant{{tinyBudget, true}, {0, false}}},
 	}
 
 	var warmRef *Result // (Outgoing, sbt, workers=3) ref for the warm phase below
@@ -67,30 +67,22 @@ func TestStreamingResolveResultInvariant(t *testing.T) {
 				Workers:         workers,
 				RecordUtilities: true,
 				RecordStats:     true,
-				NoStreamResolve: true,
 			}
-			ref := MustNew(g, base).Run()
+			ref := MustNew(g, layerFreeConfig(base)).Run()
 			if c.model == Outgoing && c.sbt && workers == 3 {
 				warmRef = ref
 			}
 			for _, v := range c.variants {
 				cfg := base
-				cfg.NoStreamResolve = false
 				cfg.StaticCacheBytes = v.budget
-				cfg.StaticPrefetch = v.depth
-				cfg.NoPackedStatics = v.noPacked
 				if v.disk {
 					cfg.StaticStoreDir = root
 				}
 				label := "model=" + c.model.String() + "/sbt=" + boolStr(c.sbt) +
 					"/workers=" + itoa(workers) + "/budget=" + itoa(int(v.budget)) +
-					"/depth=" + itoa(v.depth) + "/packed=" + boolStr(!v.noPacked) +
 					"/disk=" + boolStr(v.disk)
 				got := MustNew(g, cfg).Run()
 				requireBitIdentical(t, label, ref, got)
-				if base.Fingerprint() != cfg.Fingerprint() {
-					t.Errorf("%s: NoStreamResolve changed the fingerprint", label)
-				}
 			}
 		}
 	}
