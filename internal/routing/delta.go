@@ -257,107 +257,3 @@ func (ci *ChildIndex) Build(s *Static, t *Tree, n int) {
 // Children returns the nodes whose parent is p in the indexed tree. The
 // slice aliases the index.
 func (ci *ChildIndex) Children(p int32) []int32 { return ci.list[ci.off[p]:ci.off[p+1]] }
-
-// ApplyTurnOff is ApplyFlips specialised to the flip set {c}, where c is
-// deployed (secure[c]) and is not the destination: the single-node
-// turn-off projection. kids must index t's children, and t must equal
-// the base tree for (s, secure, breaks) — the tree kids was built from.
-// The resulting tree, undo log (UndoSize, RevertFlips) and order of
-// changes are those ApplyFlips produces; the parent moves are appended
-// to moved in the order ParentMoves would list them, and returned with
-// the number of nodes re-decided.
-//
-// A turn-off only removes security, and a node's decision reads only its
-// own flags and the Secure flags of its tiebreak candidates. So when a
-// node i loses its secure path, only i's secure tree children can
-// decide differently: an insecure node always takes its plain winner
-// without a secure path; a plain secure node is pinned to its plain
-// winner, which is its tree parent; and a SecP node whose chosen parent
-// keeps its secure path keeps its argmin, since only non-chosen secure
-// candidates vanished. ApplyTurnOff therefore pushes just those
-// children, where ApplyFlips pushes every dependent. Children sit at
-// larger positions than their parent, so they still hold their base
-// entries when pushed.
-//
-// With record set, LastTouched also lists every dependent of every node
-// whose Secure flag dropped — a superset of the nodes ApplyFlips would
-// re-decide — for callers that derive a witness from it. PrepareDelta
-// must have been called for s.
-func (w *Workspace) ApplyTurnOff(t *Tree, s *Static, secure, breaks []bool, c int32, kids *ChildIndex, tb Tiebreaker, record bool, moved []int32) ([]int32, int) {
-	w.undo = w.undo[:0]
-	w.touched = w.touched[:0]
-	k0 := s.pos[c]
-	if k0 < 0 {
-		return moved, 0
-	}
-	pend := w.pend
-	pend[k0>>6] |= 1 << uint(k0&63)
-	pending, touched := 1, 0
-	for word := int(k0 >> 6); pending > 0; {
-		for pend[word] == 0 {
-			word++
-		}
-		b := bits.TrailingZeros64(pend[word])
-		pend[word] &^= 1 << uint(b)
-		pending--
-		k := word<<6 | b
-		i := s.order[k]
-		touched++
-		w.touched = append(w.touched, i)
-		var p int32
-		var sec bool
-		switch o, e := s.tbOff[k], s.tbOff[k+1]; {
-		case i == c:
-			// Turned off: no SecP step, and no secure path of its own.
-			p = plainWinner(s, s.tbAdj[o:e], tb, i)
-		case breaks[i] && e-o > 1:
-			// Every pushed node held a secure path, so it is deployed.
-			p, sec, _ = decideNode(t, s, s.tbAdj[o:e], secure, breaks, nil, nil, tb, i)
-		default:
-			// A plain secure node or a singleton tiebreak set keeps its
-			// parent; its flag mirrors the parent's.
-			p = t.Parent[i]
-			sec = t.Secure[p]
-		}
-		if p == t.Parent[i] && sec == t.Secure[i] {
-			continue
-		}
-		w.undo = append(w.undo, undoEntry{i, t.Parent[i], t.Secure[i]})
-		if p != t.Parent[i] {
-			moved = append(moved, i)
-			t.Parent[i] = p
-		}
-		if sec != t.Secure[i] {
-			t.Secure[i] = sec
-			// A node has one parent, so no child is pushed twice.
-			for _, j := range kids.Children(i) {
-				if t.Secure[j] {
-					q := s.pos[j]
-					pend[q>>6] |= 1 << uint(q&63)
-					pending++
-				}
-			}
-			if record {
-				w.touched = append(w.touched, s.revAdj[s.revOff[i]:s.revOff[i+1]]...)
-			}
-		}
-	}
-	return moved, touched
-}
-
-// Winner returns node i's plain-TB winner: its parent in every tree
-// where it has no secure path. s must carry winners (HasWinners).
-func (s *Static) Winner(i int32) int32 { return s.win[i] }
-
-// PlainMoves appends to dst, in ascending order position, the nodes
-// whose parent in t differs from their plain-TB winner — the parent
-// moves that turn t into the tree in which no node has a secure path —
-// and returns it. s must carry winners (HasWinners).
-func (s *Static) PlainMoves(t *Tree, dst []int32) []int32 {
-	for _, i := range s.order {
-		if t.Parent[i] != s.win[i] {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}

@@ -6,23 +6,22 @@ package routing
 // utility delta is exactly zero (the common case: two thirds of
 // surviving projections in a typical round). ApplyFlips discovers that
 // by actually propagating the change and undoing it; the pass below
-// answers it for every candidate of a destination at once, with one
-// walk over the destination's tree per round.
+// answers it for every turn-on candidate of a destination at once, with
+// one walk over the destination's tree per round. (Turn-offs need no
+// prediction: TurnOffIndex answers them exactly.)
 //
 // The observable a single flip propagates through the tree is one
-// node's Secure flag. A flip of node b's flag ripples strictly
-// downstream (dependents sit at larger order positions) and, from the
-// base tree's value of b, in one monotone direction: a gain can only
-// cause gains, a loss only losses. At a dependent j the ripple either
-// dies (j's entry is unaffected), moves j's parent (the projection
-// differs structurally — the expensive propagation is genuinely
-// needed), or flips j's own Secure flag with the parent unchanged, in
-// the same direction b flipped. That last case is the recursion: j's
-// flag now plays b's role one level down. moveIf[pos(b)] therefore
-// answers "if b's Secure flag flipped from its base value, would any
-// parent anywhere downstream move?", computed in one descending-order
-// pass with the dependents index (the bitset is order-position
-// indexed, like ApplyFlips' pending set).
+// node's Secure flag. A turn-on ripples strictly downstream (dependents
+// sit at larger order positions) and only as gains: at a dependent j
+// the ripple either dies (j's entry is unaffected), moves j's parent
+// (the projection differs structurally — the expensive propagation is
+// genuinely needed), or raises j's own Secure flag with the parent
+// unchanged. That last case is the recursion: j's flag now plays b's
+// role one level down. moveIf[pos(b)], for a node b without a secure
+// path, therefore answers "if b gained a secure path, would any parent
+// anywhere downstream move?", computed in one descending-order pass
+// with the dependents index (the bitset is order-position indexed,
+// like ApplyFlips' pending set).
 //
 // The per-candidate query (FlipChangesTree) then decides the
 // candidate's own entry exactly as decideNode would and chains into
@@ -54,7 +53,9 @@ func (w *Workspace) PrepareFlipEffects(s *Static, t *Tree, secure, breaks []bool
 	// PrepareDelta) skips the leaf majority outright.
 	for _, k := range s.depPos {
 		b := order[k]
-		bSecure := t.Secure[b] // flip direction: gain if false, lose if true
+		if t.Secure[b] {
+			continue // holds a secure path already: no gain to ripple
+		}
 		moves := false
 		for _, j := range s.revAdj[s.revOff[b]:s.revOff[b+1]] {
 			if !secure[j] {
@@ -63,59 +64,34 @@ func (w *Workspace) PrepareFlipEffects(s *Static, t *Tree, secure, breaks []bool
 			if !breaks[j] {
 				// Plain secure node: parent pinned to win[j], flag mirrors
 				// its winner's. b matters only as the winner, and then j's
-				// flag flips in b's direction — recurse.
+				// flag rises with b's — recurse.
 				if win[j] == b && w.effBits[pos[j]>>6]&(1<<uint(pos[j]&63)) != 0 {
 					moves = true
 					break
 				}
 				continue
 			}
-			// SecP node. For such a node the tree flag also tells whether
-			// any tiebreak candidate currently offers a secure path: the
-			// decision picks one iff one exists.
-			if bSecure {
-				// b loses its secure path.
-				if t.Parent[j] != b {
-					continue // a non-chosen secure candidate vanishing never changes the argmin
-				}
-				// j loses its chosen parent: re-decide among the remaining
-				// secure candidates, mirroring decideNode's selection.
-				best := int32(-1)
-				for _, q := range s.Tiebreak(j) {
-					if q != b && t.Secure[q] && (best == -1 || tb.Less(j, q, best)) {
-						best = q
-					}
-				}
-				if best >= 0 || win[j] != b {
-					moves = true // parent moves to best, or falls to a different plain winner
-					break
-				}
-				// Parent stays b (= win[j]); j's flag drops true→false — recurse.
-				if w.effBits[pos[j]>>6]&(1<<uint(pos[j]&63)) != 0 {
+			// SecP node. Its tree flag also tells whether any tiebreak
+			// candidate currently offers a secure path: the decision
+			// picks one iff one exists.
+			if t.Secure[j] {
+				// j already routes securely via t.Parent[j]; the newcomer
+				// wins only if the tiebreaker prefers it.
+				if tb.Less(j, b, t.Parent[j]) {
 					moves = true
 					break
 				}
-			} else {
-				// b gains a secure path.
-				if t.Secure[j] {
-					// j already routes securely via t.Parent[j]; the newcomer
-					// wins only if the tiebreaker prefers it.
-					if tb.Less(j, b, t.Parent[j]) {
-						moves = true
-						break
-					}
-					continue
-				}
-				// j gains its first secure candidate: decideNode would pick b.
-				if win[j] != b {
-					moves = true
-					break
-				}
-				// Parent stays b (= win[j]); j's flag rises false→true — recurse.
-				if w.effBits[pos[j]>>6]&(1<<uint(pos[j]&63)) != 0 {
-					moves = true
-					break
-				}
+				continue
+			}
+			// j gains its first secure candidate: decideNode would pick b.
+			if win[j] != b {
+				moves = true
+				break
+			}
+			// Parent stays b (= win[j]); j's flag rises false→true — recurse.
+			if w.effBits[pos[j]>>6]&(1<<uint(pos[j]&63)) != 0 {
+				moves = true
+				break
 			}
 		}
 		if moves {
@@ -124,48 +100,37 @@ func (w *Workspace) PrepareFlipEffects(s *Static, t *Tree, secure, breaks []bool
 	}
 }
 
-// FlipChangesTree predicts whether flipping the single node c — a
-// non-destination node in s's order whose projected tie-break policy is
-// to break ties when secure — produces a projected tree whose parents
-// differ anywhere from base tree t. false guarantees the projection
-// routes identically to the base (its utility delta is exactly zero and
-// ApplyFlips can be skipped); true means change propagation is needed.
-// PrepareFlipEffects must have run for (s, t, secure, breaks, tb) on
-// this workspace.
-func (w *Workspace) FlipChangesTree(s *Static, t *Tree, secure, breaks []bool, tb Tiebreaker, c int32) bool {
-	p := s.pos[c]
-	if !secure[c] {
-		// Turn-on: c becomes SecP and picks its best secure candidate, if
-		// any — mirroring decideNode's selection.
-		cands := s.Tiebreak(c)
-		best := int32(-1)
-		if len(cands) == 1 {
-			if b := cands[0]; t.Secure[b] {
+// FlipChangesTree predicts whether turning on the single node c — an
+// undeployed, non-destination node in s's order whose projected
+// tie-break policy is to break ties — produces a projected tree whose
+// parents differ anywhere from base tree t. false guarantees the
+// projection routes identically to the base (its utility delta is
+// exactly zero and ApplyFlips can be skipped); true means change
+// propagation is needed. PrepareFlipEffects must have run for (s, t, tb)
+// and the base state on this workspace.
+func (w *Workspace) FlipChangesTree(s *Static, t *Tree, tb Tiebreaker, c int32) bool {
+	// c becomes SecP and picks its best secure candidate, if any —
+	// mirroring decideNode's selection.
+	cands := s.Tiebreak(c)
+	best := int32(-1)
+	if len(cands) == 1 {
+		if b := cands[0]; t.Secure[b] {
+			best = b
+		}
+	} else {
+		for _, b := range cands {
+			if t.Secure[b] && (best == -1 || tb.Less(c, b, best)) {
 				best = b
 			}
-		} else {
-			for _, b := range cands {
-				if t.Secure[b] && (best == -1 || tb.Less(c, b, best)) {
-					best = b
-				}
-			}
 		}
-		if best < 0 {
-			return false // no secure candidate: entry unchanged entirely
-		}
-		if best != s.win[c] {
-			return true // c's own parent moves
-		}
-		// Parent stays win[c]; c's flag rises false→true — ripple.
-		return w.effBits[p>>6]&(1<<uint(p&63)) != 0
 	}
-	// Turn-off: c falls back to its plain winner, flag false.
-	if t.Parent[c] != s.win[c] {
-		return true // c's own parent moves back to the winner
+	if best < 0 {
+		return false // no secure candidate: entry unchanged entirely
 	}
-	if !t.Secure[c] {
-		return false // no secure flag to lose: entry unchanged entirely
+	if best != s.win[c] {
+		return true // c's own parent moves
 	}
-	// Parent stays; c's flag drops true→false — ripple.
+	// Parent stays win[c]; c's flag rises false→true — ripple.
+	p := s.pos[c]
 	return w.effBits[p>>6]&(1<<uint(p&63)) != 0
 }

@@ -159,7 +159,7 @@ func TestQuickIncrementalResolution(t *testing.T) {
 
 // TestQuickFlipPrediction: the batched projection predictor
 // (PrepareFlipEffects / FlipChangesTree) must be safe — whenever it
-// predicts a single-node flip leaves every parent in place, actually
+// predicts a single-node turn-on leaves every parent in place, actually
 // propagating the flip must report no parent change (the skipped
 // projection's delta is then exactly zero). The reverse direction may
 // over-approximate, but on single-flag ripples it should be rare; the
@@ -185,10 +185,12 @@ func TestQuickFlipPrediction(t *testing.T) {
 			w.PrepareFlipEffects(s, &base, sec, brk, tb)
 			proj.CopyFrom(&base)
 			for _, c := range s.Order() {
-				// The engine only consults the predictor for candidates
-				// whose projected policy is to break ties (ISPs); turned-off
-				// nodes never break ties, matching ApplyFlips.
-				pred := w.FlipChangesTree(s, &base, sec, brk, tb, c)
+				// The engine only consults the predictor for turn-ons of
+				// candidates whose projected policy is to break ties (ISPs).
+				if sec[c] {
+					continue
+				}
+				pred := w.FlipChangesTree(s, &base, tb, c)
 				flipped[c] = true
 				changed, _ := w.ApplyFlips(&proj, s, sec, brk, flipped, nil, []int32{c}, tb)
 				w.RevertFlips(&proj)

@@ -102,11 +102,10 @@ type Static struct {
 	// rows a flip-effects pass visits.
 	depPos     []int32
 	deltaReady bool
-	// provParents, when provReady, memoizes ProviderParents; provBits is
-	// the same set as a node-indexed bitset (built with the list).
-	provParents []int32
-	provBits    []uint64
-	provReady   bool
+	// provBits, when provReady, is the node-indexed bitset of provider
+	// parents (see IsProviderParent).
+	provBits  []uint64
+	provReady bool
 	// supOut/supIn memoize the per-model utility support lists
 	// (SupportOutgoing / SupportIncoming).
 	supOut      []int32
@@ -130,34 +129,29 @@ func (s *Static) Tiebreak(i int32) []int32 {
 // best-route length. The slice aliases internal storage.
 func (s *Static) Order() []int32 { return s.order }
 
-// ProviderParents returns every node listed in the tiebreak set of some
-// node whose best route is provider-class: the only nodes that can ever
-// receive traffic over a customer edge for this destination, in any
-// deployment state (parents are always drawn from tiebreak sets). The
-// list is state-independent, computed on first call and memoized; it
-// may contain duplicates. The slice aliases internal storage.
-func (s *Static) ProviderParents() []int32 {
-	if !s.provReady {
-		s.provParents = s.provParents[:0]
-		nw := (len(s.Type) + 63) / 64
-		if cap(s.provBits) < nw {
-			s.provBits = make([]uint64, nw)
-		}
-		s.provBits = s.provBits[:nw]
-		for i := range s.provBits {
-			s.provBits[i] = 0
-		}
-		for k, i := range s.order {
-			if s.Type[i] == ProviderRoute {
-				for _, b := range s.tbAdj[s.tbOff[k]:s.tbOff[k+1]] {
-					s.provParents = append(s.provParents, b)
-					s.provBits[b>>6] |= 1 << uint(b&63)
-				}
+// prepareProvBits memoizes the provider-parent bitset: every node
+// listed in the tiebreak set of some node whose best route is
+// provider-class. Parents are always drawn from tiebreak sets, so these
+// are the only nodes that can ever receive traffic over a customer edge
+// for this destination, in any deployment state.
+func (s *Static) prepareProvBits() {
+	if s.provReady {
+		return
+	}
+	nw := (len(s.Type) + 63) / 64
+	if cap(s.provBits) < nw {
+		s.provBits = make([]uint64, nw)
+	}
+	s.provBits = s.provBits[:nw]
+	clear(s.provBits)
+	for k, i := range s.order {
+		if s.Type[i] == ProviderRoute {
+			for _, b := range s.tbAdj[s.tbOff[k]:s.tbOff[k+1]] {
+				s.provBits[b>>6] |= 1 << uint(b&63)
 			}
 		}
-		s.provReady = true
 	}
-	return s.provParents
+	s.provReady = true
 }
 
 // IsProviderParent reports whether node i appears in the tiebreak set of
@@ -166,9 +160,7 @@ func (s *Static) ProviderParents() []int32 {
 // this destination (its incoming-model contribution is identically zero
 // otherwise).
 func (s *Static) IsProviderParent(i int32) bool {
-	if !s.provReady {
-		s.ProviderParents()
-	}
+	s.prepareProvBits()
 	return s.provBits[i>>6]&(1<<uint(i&63)) != 0
 }
 
@@ -201,9 +193,7 @@ func (s *Static) SupportOutgoing(list []int32) []int32 {
 // storage and preserves the ascending order of list.
 func (s *Static) SupportIncoming(list []int32) []int32 {
 	if !s.supInReady {
-		if !s.provReady {
-			s.ProviderParents()
-		}
+		s.prepareProvBits()
 		s.supIn = s.supIn[:0]
 		for _, i := range list {
 			if s.provBits[i>>6]&(1<<uint(i&63)) != 0 {

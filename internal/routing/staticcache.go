@@ -67,7 +67,7 @@ func (s *Static) MemBytes() int64 {
 		b += 4 * int64(len(s.revOff)+len(s.revAdj)+len(s.depPos))
 	}
 	if s.provReady {
-		b += 4*int64(len(s.provParents)) + 8*int64(len(s.provBits))
+		b += 8 * int64(len(s.provBits))
 	}
 	if s.supOutReady {
 		b += 4 * int64(len(s.supOut))
@@ -104,7 +104,6 @@ func (s *Static) Snapshot() *Static {
 	}
 	if s.provReady {
 		c.provReady = true
-		c.provParents = append([]int32(nil), s.provParents...)
 		c.provBits = append([]uint64(nil), s.provBits...)
 	}
 	if s.supOutReady {
@@ -728,7 +727,7 @@ func (sc *SharedStaticCache) Add(w *Workspace, s *Static) *Static {
 		return nil
 	}
 	w.PrepareDelta(s)
-	s.ProviderParents()
+	s.prepareProvBits()
 	s.SupportOutgoing(w.Graph().ISPs())
 	s.SupportIncoming(w.Graph().ISPs())
 	sc.mu.Lock()

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"sbgp/internal/asgraph/asgraphtest"
 )
 
-// turnOffChecker differentially tests ApplyTurnOff against ApplyFlips
+// turnOffChecker differentially tests TurnOffIndex against ApplyFlips
 // with the flip set {c}, reusing its scratch across destinations.
 type turnOffChecker struct {
 	g          *asgraph.Graph
@@ -19,11 +20,14 @@ type turnOffChecker struct {
 	sec, brk   []bool
 	flipped    []bool
 	base, ref  Tree
-	full, got  Tree
-	kids       ChildIndex
+	full       Tree
+	idx        TurnOffIndex
 	refMoves   []int32
 	gotMoves   []int32
-	refTouched []int32
+	gotParents []int32
+	// switches counts the moves that go to a secure candidate other
+	// than the winner: the SecP nodes that keep a secure path.
+	switches int
 }
 
 func newTurnOffChecker(g *asgraph.Graph, sec, brk []bool, tb Tiebreaker) *turnOffChecker {
@@ -32,12 +36,9 @@ func newTurnOffChecker(g *asgraph.Graph, sec, brk []bool, tb Tiebreaker) *turnOf
 
 // dest checks every deployed candidate of destination d (winners
 // precomputed or not) and returns a description of the first mismatch,
-// or "" when the kernel agrees with ApplyFlips everywhere:
-//   - the projected tree of a full resolution, and ApplyFlips' UndoSize;
-//   - no more nodes re-decided than ApplyFlips;
-//   - emitted moves equal to ParentMoves, in the same order;
-//   - RevertFlips restoring the base tree;
-//   - with record set, LastTouched a superset of ApplyFlips' set.
+// or "" when the index agrees with ApplyFlips everywhere: the moves
+// equal ParentMoves in the same order, and each new parent equals the
+// projected tree's, which equals a full resolution's.
 func (ck *turnOffChecker) dest(d int32, winners bool) string {
 	n := ck.g.N()
 	w := ck.w
@@ -50,66 +51,41 @@ func (ck *turnOffChecker) dest(d int32, winners bool) string {
 	ck.base.Clear(n)
 	w.ResolveInto(&ck.base, s, ck.sec, ck.brk, nil, nil, ck.tb)
 	w.PrepareDelta(s)
-	ck.kids.Build(s, &ck.base, n)
+	ck.idx.Build(s, &ck.base, ck.brk, ck.tb)
 	ck.ref.CopyFrom(&ck.base)
-	ck.got.CopyFrom(&ck.base)
 	for _, c := range s.Order() {
 		if !ck.sec[c] {
 			continue
 		}
 		ck.flipped[c] = true
 		w.ApplyFlips(&ck.ref, s, ck.sec, ck.brk, ck.flipped, nil, []int32{c}, ck.tb)
-		ck.flipped[c] = false
-		ck.refMoves = w.ParentMoves(&ck.ref, ck.refMoves[:0])
-		ck.refTouched = append(ck.refTouched[:0], w.LastTouched()...)
-		refUndo := w.UndoSize()
-		w.RevertFlips(&ck.ref)
-		ck.flipped[c] = true
 		ck.full.Clear(n)
 		w.ResolveInto(&ck.full, s, ck.sec, ck.brk, ck.flipped, nil, ck.tb)
 		ck.flipped[c] = false
+		ck.refMoves = w.ParentMoves(&ck.ref, ck.refMoves[:0])
 
-		for _, record := range []bool{false, true} {
-			var touched int
-			ck.gotMoves, touched = w.ApplyTurnOff(&ck.got, s, ck.sec, ck.brk, c, &ck.kids, ck.tb, record, ck.gotMoves[:0])
-			switch {
-			case !treesEqual(&ck.got, &ck.full, n):
-				return "projected tree differs from a full resolution"
-			case w.UndoSize() != refUndo:
-				return "undo size differs from ApplyFlips"
-			case !slices.Equal(ck.gotMoves, ck.refMoves):
-				return "emitted moves differ from ParentMoves"
-			case touched > len(ck.refTouched):
-				return "re-decided more nodes than ApplyFlips"
-			case record && !subset(ck.refTouched, w.LastTouched()):
-				return "recorded LastTouched misses a node ApplyFlips re-decided"
+		ck.gotMoves, ck.gotParents = ck.idx.Moves(c, ck.gotMoves[:0], ck.gotParents[:0])
+		if !slices.Equal(ck.gotMoves, ck.refMoves) {
+			return fmt.Sprintf("turning off %d: moves %v, ApplyFlips moves %v", c, ck.gotMoves, ck.refMoves)
+		}
+		for k, m := range ck.gotMoves {
+			if p := ck.gotParents[k]; p != ck.ref.Parent[m] || p != ck.full.Parent[m] {
+				return fmt.Sprintf("turning off %d: node %d moves to %d, ApplyFlips to %d, a full resolution to %d",
+					c, m, p, ck.ref.Parent[m], ck.full.Parent[m])
 			}
-			w.RevertFlips(&ck.got)
-			if !treesEqual(&ck.got, &ck.base, n) {
-				return "RevertFlips did not restore the base tree"
+			if p := ck.gotParents[k]; p != plainWinner(s, s.Tiebreak(m), ck.tb, m) {
+				ck.switches++
 			}
 		}
+		w.RevertFlips(&ck.ref)
 	}
 	return ""
 }
 
-func subset(sub, super []int32) bool {
-	in := make(map[int32]bool, len(super))
-	for _, x := range super {
-		in[x] = true
-	}
-	for _, x := range sub {
-		if !in[x] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestQuickApplyTurnOff: the loss-cascade kernel reproduces ApplyFlips
-// on single-node turn-offs over random graphs and states, with and
-// without precomputed winners.
-func TestQuickApplyTurnOff(t *testing.T) {
+// TestQuickTurnOffIndex: the index reproduces ApplyFlips on single-node
+// turn-offs over random graphs and states, with and without precomputed
+// winners.
+func TestQuickTurnOffIndex(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := asgraphtest.Random(rng, 4+rng.Intn(24), 0.15, 0.1, 0.25)
@@ -128,12 +104,12 @@ func TestQuickApplyTurnOff(t *testing.T) {
 	}
 }
 
-// TestApplyTurnOffShapes runs the differential on the static shapes
-// that stress propagation: a provider ladder with paths longer than 254
-// hops (two rails keep every tiebreak set at width 2, so SecP choices
-// recur the whole way up) and a destination reachable over peer edges
-// only.
-func TestApplyTurnOffShapes(t *testing.T) {
+// TestTurnOffIndexShapes runs the differential on the static shapes
+// that stress the dominator chains: a provider ladder with paths longer
+// than 254 hops (two rails keep every tiebreak set at width 2, so SecP
+// choices recur the whole way up) and a destination reachable over peer
+// edges only.
+func TestTurnOffIndexShapes(t *testing.T) {
 	const rungs = 280
 	ladder := asgraph.NewBuilder()
 	for i := int32(1); i < rungs; i++ {
@@ -154,7 +130,7 @@ func TestApplyTurnOffShapes(t *testing.T) {
 	} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			// Mostly deployed, so long secure chains form and collapse.
+			// Mostly deployed, so long secure chains form and break.
 			sec, brk := asgraphtest.RandomState(rng, tc.g.N(), 0.9, 0.8)
 			ck := newTurnOffChecker(tc.g, sec, brk, HashTiebreaker{Seed: uint64(seed)})
 			for _, asn := range tc.dests {
@@ -169,10 +145,56 @@ func TestApplyTurnOffShapes(t *testing.T) {
 	}
 }
 
-// FuzzApplyTurnOff: the loss-cascade kernel against ApplyFlips on the
-// fuzz graph, with the deployment state, tie-break flags, destination
-// and tiebreak seed drawn from the input.
-func FuzzApplyTurnOff(f *testing.F) {
+// TestTurnOffIndexFrontier: a SecP node x whose four secure candidates
+// hang off different dominators. b1 and b2 route via a1 only, b3 via a3
+// only, and b4 via either, so x's immediate dominator is the
+// destination while a1 dominates two of its candidates, a3 one, and b4
+// only itself. Turning off a dominator of x's parent that does not
+// dominate x must move x to its tiebreak-least surviving candidate —
+// not to its winner, and not to a candidate the same turn-off removes.
+// Every tiebreak seed and every deployment of the a/b layer is checked,
+// with everything else deployed and breaking ties; y, a provider of x
+// only, inherits each of x's moves.
+func TestTurnOffIndexFrontier(t *testing.T) {
+	const d, a1, a3, b1, b2, b3, b4, x, y = 1, 2, 3, 4, 5, 6, 7, 8, 9
+	b := asgraph.NewBuilder()
+	b.AddCustomer(a1, d).AddCustomer(a3, d)
+	b.AddCustomer(b1, a1).AddCustomer(b2, a1).AddCustomer(b3, a3)
+	b.AddCustomer(b4, a1).AddCustomer(b4, a3)
+	b.AddCustomer(x, b1).AddCustomer(x, b2).AddCustomer(x, b3).AddCustomer(x, b4)
+	b.AddCustomer(y, x)
+	g := b.MustBuild()
+	n := g.N()
+	layer := []int32{idx(t, g, a1), idx(t, g, a3), idx(t, g, b1), idx(t, g, b2), idx(t, g, b3), idx(t, g, b4)}
+	switches := 0
+	for seed := uint64(0); seed < 16; seed++ {
+		for mask := 0; mask < 1<<len(layer); mask++ {
+			sec, brk := make([]bool, n), make([]bool, n)
+			for i := range sec {
+				sec[i], brk[i] = true, true
+			}
+			for k, v := range layer {
+				sec[v] = mask&(1<<k) == 0
+				brk[v] = sec[v]
+			}
+			ck := newTurnOffChecker(g, sec, brk, HashTiebreaker{Seed: seed})
+			for _, winners := range []bool{true, false} {
+				if msg := ck.dest(idx(t, g, d), winners); msg != "" {
+					t.Fatalf("seed %d mask %06b winners=%v: %s", seed, mask, winners, msg)
+				}
+			}
+			switches += ck.switches
+		}
+	}
+	if switches == 0 {
+		t.Error("no turn-off switched x to another secure candidate: the frontier rule went unexercised")
+	}
+}
+
+// FuzzTurnOffIndex: the turn-off index against ApplyFlips on the fuzz
+// graph, with the deployment state, tie-break flags, destination and
+// tiebreak seed drawn from the input.
+func FuzzTurnOffIndex(f *testing.F) {
 	g, _, _ := fuzzGraph()
 	n := g.N()
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(0), uint64(71))

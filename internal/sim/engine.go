@@ -514,31 +514,38 @@ type roundCtx struct {
 // processing allocates nothing. Workers live in the Sim's pool and are
 // reused across rounds; resetRound rezeroes the per-round accumulators.
 type worker struct {
-	ws          *routing.Workspace
-	cache       *routing.StaticCache       // per-worker static snapshots; nil = disabled
-	shared      *routing.SharedStaticCache // graph-level store; replaces cache when set
-	disk        *routing.StaticDiskStore   // persistent L2 tier; nil = disabled
-	dyn         *dynCache                  // per-worker contribution records; nil = disabled
-	isps        []int32                    // shared class index list (asgraph.Graph.ISPs)
-	baseTree    routing.Tree
-	projTree    routing.Tree
-	accBase     []float64
-	incBase     []float64
-	accProj     []float64
-	incProj     []float64
-	movedMark   []bool             // accumulateAt: marks of the projection's parent moves
-	movedBuf    []int32            // projectDelta: the projection's parent moves
-	subList     []int32            // accumulateAt: subtree expansion stack
-	subPosBits  []uint64           // accumulateAt: bitset of collected order positions
-	kids        routing.ChildIndex // base-tree child index, per destination
-	uBase       []float64
-	uDelta      []float64
-	flipMark    []bool
-	flipBreaks  []bool
-	flipScratch []int32
-	witMark     []bool // dedup marks while building a record's witness
-	witCap      int    // witness size cap: n/4 plus slack
-	stats       workerStats
+	ws         *routing.Workspace
+	cache      *routing.StaticCache       // per-worker static snapshots; nil = disabled
+	shared     *routing.SharedStaticCache // graph-level store; replaces cache when set
+	disk       *routing.StaticDiskStore   // persistent L2 tier; nil = disabled
+	dyn        *dynCache                  // per-worker contribution records; nil = disabled
+	isps       []int32                    // shared class index list (asgraph.Graph.ISPs)
+	baseTree   routing.Tree
+	projTree   routing.Tree
+	accBase    []float64
+	incBase    []float64
+	accProj    []float64
+	incProj    []float64
+	movedMark  []bool               // accumulateAt: marks of the projection's parent moves
+	movedBuf   []int32              // projectDelta: the projection's parent moves
+	parentBuf  []int32              // projectDelta: the moved nodes' projected parents
+	subList    []int32              // accumulateAt: subtree expansion stack
+	subPosBits []uint64             // accumulateAt: bitset of collected order positions
+	kids       routing.ChildIndex   // base-tree child index, per destination
+	offIdx     routing.TurnOffIndex // base-tree turn-off index, per destination
+	// Per-destination projection scratch, built lazily by the candidate
+	// loop and reset for every destination: the turn-off index, and the
+	// base-tree copy plus child index that ApplyFlips and deltaAt work
+	// on.
+	offReady, projReady bool
+	uBase               []float64
+	uDelta              []float64
+	flipMark            []bool
+	flipBreaks          []bool
+	flipScratch         []int32
+	witMark             []bool // dedup marks while building a record's witness
+	witCap              int    // witness size cap: n/4 plus slack
+	stats               workerStats
 
 	// Streaming-resolve and pristine-replay state (see processDest's
 	// tier dispatch). stream is the fused blob-walk resolver's scratch,
@@ -849,14 +856,11 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 	// witness, which must cover everything that can make its delta
 	// nonzero later.
 	useBatch := !cfg.noProjectionBatch && !recWitness
-	// The dependents index (plus predictor) and the base-tree copy and
-	// child index that change propagation works on are built lazily:
-	// the former when some candidate survives the skip rules, the
-	// latter only when one also needs an actual propagation. dSecKids
-	// is projectDelta's count of the destination's secure children.
+	// The dependents index and predictor are built lazily, when some
+	// turn-on or multi-node flip survives the skip rules; projectDelta
+	// builds the rest of the projection scratch on demand.
 	predReady := false
-	projReady := false
-	dSecKids := -1
+	wk.offReady, wk.projReady = false, false
 	for _, c := range rc.candList {
 		// Zero-utility skip: a candidate whose utility contribution for
 		// this destination is identically zero in every deployment state
@@ -876,32 +880,35 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 			continue
 		}
 		flips := wk.flipSetFor(st, cfg, c)
-		if !wk.flipCanChangeTree(stc, tree, st, cfg, c, d, flips, anySecurePath) {
+		if !wk.flipCanChangeTree(stc, tree, rc, c, d, flips, anySecurePath) {
 			wk.clearFlips(flips)
 			continue
 		}
-		if !predReady {
-			wk.ws.PrepareDelta(stc)
-			if useBatch {
-				wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
+		// A single-node turn-off is answered by the turn-off index,
+		// exactly: an empty answer is the unchanged projection. Its
+		// answer re-decides no node, so it waits while a witness is
+		// recorded (only outgoing records keep one, and outgoing has no
+		// turn-off candidates).
+		turnOff := len(flips) == 1 && c != d && st.secure[c] && !recWitness
+		if !turnOff {
+			if !predReady {
+				wk.ws.PrepareDelta(stc)
+				if useBatch {
+					wk.ws.PrepareFlipEffects(stc, tree, st.secure, st.breaks, cfg.Tiebreaker)
+				}
+				predReady = true
 			}
-			predReady = true
-		}
-		if useBatch && len(flips) == 1 && c != d {
-			if !wk.ws.FlipChangesTree(stc, tree, st.secure, st.breaks, cfg.Tiebreaker, c) {
-				// Predicted structurally unchanged: the projected tree
-				// routes identically, so the delta is exactly zero.
-				wk.clearFlips(flips)
-				wk.stats.projUnchanged++
-				continue
+			if useBatch && len(flips) == 1 && c != d {
+				if !wk.ws.FlipChangesTree(stc, tree, cfg.Tiebreaker, c) {
+					// Predicted structurally unchanged: the projected tree
+					// routes identically, so the delta is exactly zero.
+					wk.clearFlips(flips)
+					wk.stats.projUnchanged++
+					continue
+				}
 			}
 		}
-		if !projReady {
-			wk.projTree.CopyFrom(tree)
-			wk.buildChildIndex(stc, tree, n)
-			projReady = true
-		}
-		v, changed, touched := wk.projectDelta(rc, stc, tree, c, d, flips, recWitness, &dSecKids)
+		v, changed, touched := wk.projectDelta(rc, stc, tree, c, flips, turnOff)
 		wk.stats.projResolutions++
 		wk.stats.nodesRecomputed += int64(touched)
 		wk.stats.nodesReused += int64(len(stc.Order()) - touched)
@@ -940,71 +947,63 @@ func (wk *worker) processDest(d int32, rc *roundCtx) {
 }
 
 // projectDelta projects candidate c's flip set flips (marked by
-// flipSetFor; unmarked here) for destination d with base tree tree.
-// wk.projTree must hold a copy of tree and wk.kids its children; the
-// copy is back at the base on return. It returns c's utility delta,
-// whether any parent moved, and the number of nodes re-decided. With no
-// parent move the projected tree routes identically to the base tree
+// flipSetFor; unmarked here) for base tree tree, through the turn-off
+// index when turnOff is set and ApplyFlips otherwise. It returns c's
+// utility delta, whether any parent moved, and the number of nodes
+// re-decided — for an index answer, the number of parents it moves. With
+// no parent move the projected tree routes identically to the base tree
 // (only Secure flags differ), so every traffic accumulation over it is
 // bit-equal to the base one: the delta is exactly zero and is not
-// computed. record asks for LastTouched to cover a witness. secKids
-// caches the count of d's secure children across the destination's
-// candidates, and is -1 until counted.
-//
-// A turn-off (its flip set is {c}) takes the loss-cascade kernel,
-// ApplyTurnOff, or skips propagation entirely when c is d's only secure
-// child: then no path stays secure (see secureChildren), and the
-// projection is the plain-winner tree. The collapse leaves no touched
-// nodes, so it waits while a witness is recorded. Every other flip set
-// takes ApplyFlips. All three produce the same parent moves in the same
-// order, so deltaAt adds the same floats.
-func (wk *worker) projectDelta(rc *roundCtx, stc *routing.Static, tree *routing.Tree, c, d int32, flips []int32, record bool, secKids *int) (v float64, changed bool, touched int) {
+// computed. Both paths give the same parent moves in the same order, so
+// deltaAt adds the same floats; wk.projTree is back at the base on
+// return.
+func (wk *worker) projectDelta(rc *roundCtx, stc *routing.Static, tree *routing.Tree, c int32, flips []int32, turnOff bool) (v float64, changed bool, touched int) {
 	st, cfg := rc.st, rc.cfg
-	collapse := false
-	if len(flips) == 1 && c != d && st.secure[c] {
+	if turnOff {
 		wk.clearFlips(flips)
-		if !record && stc.HasWinners() && tree.Parent[c] == d {
-			if *secKids < 0 {
-				*secKids = wk.secureChildren(d, tree)
-			}
-			collapse = *secKids == 1
+		if !wk.offReady {
+			wk.offIdx.Build(stc, tree, st.breaks, cfg.Tiebreaker)
+			wk.offReady = true
 		}
-		if collapse {
-			wk.movedBuf = stc.PlainMoves(tree, wk.movedBuf[:0])
-			touched = len(wk.movedBuf)
-		} else {
-			wk.movedBuf, touched = wk.ws.ApplyTurnOff(&wk.projTree, stc,
-				st.secure, st.breaks, c, &wk.kids, cfg.Tiebreaker, record, wk.movedBuf[:0])
+		wk.movedBuf, wk.parentBuf = wk.offIdx.Moves(c, wk.movedBuf[:0], wk.parentBuf[:0])
+		moved := wk.movedBuf
+		if len(moved) == 0 {
+			return 0, false, 0
 		}
-	} else {
-		var parentsChanged bool
-		parentsChanged, touched = wk.ws.ApplyFlips(&wk.projTree, stc,
-			st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
-		wk.clearFlips(flips)
-		wk.movedBuf = wk.movedBuf[:0]
-		if parentsChanged {
-			wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf)
-		}
-	}
-	moved := wk.movedBuf
-	if len(moved) > 0 {
-		if collapse {
-			// deltaAt reads parents only, so the projected tree's stale
-			// Secure flags are never seen.
-			for _, m := range moved {
-				wk.projTree.Parent[m] = stc.Winner(m)
-			}
+		wk.readyProjection(stc, tree)
+		// deltaAt reads parents only, so the projection's Secure flags
+		// are never needed.
+		for k, m := range moved {
+			wk.projTree.Parent[m] = wk.parentBuf[k]
 		}
 		v = wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, rc.weights, c, moved)
-	}
-	if collapse {
 		for _, m := range moved {
 			wk.projTree.Parent[m] = tree.Parent[m]
 		}
-	} else {
-		wk.ws.RevertFlips(&wk.projTree)
+		return v, true, len(moved)
 	}
-	return v, len(moved) > 0, touched
+	wk.readyProjection(stc, tree)
+	changed, touched = wk.ws.ApplyFlips(&wk.projTree, stc,
+		st.secure, st.breaks, wk.flipMark, wk.flipBreaks, flips, cfg.Tiebreaker)
+	wk.clearFlips(flips)
+	if changed {
+		wk.movedBuf = wk.ws.ParentMoves(&wk.projTree, wk.movedBuf[:0])
+		v = wk.deltaAt(cfg.Model, stc, tree, &wk.projTree, rc.weights, c, wk.movedBuf)
+	}
+	wk.ws.RevertFlips(&wk.projTree)
+	return v, changed, touched
+}
+
+// readyProjection builds, once per destination, the projection scratch
+// over base tree t: the copy that ApplyFlips mutates and projections
+// overlay their parent moves on, and the child index deltaAt and
+// accumulateAt expand subtrees from.
+func (wk *worker) readyProjection(s *routing.Static, t *routing.Tree) {
+	if !wk.projReady {
+		wk.projTree.CopyFrom(t)
+		wk.kids.Build(s, t, wk.ws.Graph().N())
+		wk.projReady = true
+	}
 }
 
 // fetchStatic serves destination d's static snapshot: worker or shared
@@ -1095,8 +1094,21 @@ func (wk *worker) fetchStatic(d int32, rc *roundCtx) *routing.Static {
 // doesn't. d flips only if d itself is a candidate, or — under
 // ProjectStubUpgrades — d is an insecure stub customer of an insecure
 // candidate provider (flipSetFor's membership rule, verbatim).
+//
+// In a round with no secure node at all and no projected stub upgrades,
+// every insecure destination is untouchable, its own turn-on included:
+// the flip set is {d}, nobody else is secure, so no path but d's own can
+// become secure and no parent moves (flipCanChangeTree's matching
+// skipDestFlip rule). Under ProjectStubUpgrades the candidate's stubs
+// flip with it and can reroute onto d, so the rule above stands.
 func (wk *worker) destUntouchable(d int32, rc *roundCtx) bool {
-	if rc.st.secure[d] || rc.candMark[d] {
+	if rc.st.secure[d] {
+		return false
+	}
+	if !rc.cfg.ProjectStubUpgrades && rc.noSecure {
+		return true
+	}
+	if rc.candMark[d] {
 		return false
 	}
 	g := wk.ws.Graph()
@@ -1460,12 +1472,15 @@ func (wk *worker) clearFlips(flips []int32) {
 // whether flipping candidate c (with projected flip set flips) could
 // possibly alter the routing tree for destination d, given that tree
 // holds the base tree for the current state.
-func (wk *worker) flipCanChangeTree(stc *routing.Static, tree *routing.Tree, st *deployState, cfg *Config, c, d int32, flips []int32, anySecurePath bool) bool {
+func (wk *worker) flipCanChangeTree(stc *routing.Static, tree *routing.Tree, rc *roundCtx, c, d int32, flips []int32, anySecurePath bool) bool {
+	st, cfg := rc.st, rc.cfg
 	if wk.flipMark[d] {
 		// The destination itself flips (c == d, or d is one of c's stubs
 		// under ProjectStubUpgrades): whether any path to d can be
-		// secure changes.
-		if st.secure[d] && !anySecurePath {
+		// secure changes. Turning d off with no secure path but its own
+		// moves nothing; neither does turning d alone on while nobody
+		// else is secure, since no path but d's own can then be secure.
+		if st.secure[d] && !anySecurePath || rc.noSecure && len(flips) == 1 {
 			wk.stats.skipDestFlip++
 			return false
 		}
@@ -1528,38 +1543,6 @@ func (wk *worker) contribution(model UtilityModel, stc *routing.Static, acc, inc
 		return 0 // unreachable: inc[i] may hold a stale value
 	}
 	return inc[i]
-}
-
-// buildChildIndex fills the worker's child index for base tree t.
-// Built once per destination (lazily, with the delta index) and valid
-// for that base tree only: the turn-off kernel pushes children from it,
-// and deltaAt and accumulateAt overlay each projection's parent moves
-// on it instead of rescanning the order.
-func (wk *worker) buildChildIndex(s *routing.Static, t *routing.Tree, n int) {
-	wk.kids.Build(s, t, n)
-}
-
-// secureChildren counts the children of destination d that hold a
-// secure path in base tree t, whose children buildChildIndex indexed.
-//
-// Secure paths are closed upward: a node holds one only if its parent
-// does. So when the turn-off candidate c is d's only secure child, c's
-// subtree holds every secure path, and turning c off leaves none.
-// Suppose one stayed, and take the lowest-position node x still secure
-// afterwards. Its parent must be d, so its tiebreak set is {d}, and its
-// decision reads only its own flags and d's — all as in the base. So x
-// was a secure child of d in the base too, and x ≠ c, which contradicts
-// c being the only one. The projection is then exactly the
-// plain-winner tree: every node's parent is its winner, and the parent
-// moves are Static.PlainMoves, in the order ApplyFlips would produce.
-func (wk *worker) secureChildren(d int32, t *routing.Tree) int {
-	k := 0
-	for _, j := range wk.kids.Children(d) {
-		if t.Secure[j] {
-			k++
-		}
-	}
-	return k
 }
 
 // deltaAt returns the change in candidate c's utility contribution

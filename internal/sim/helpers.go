@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"sbgp/internal/asgraph"
 )
@@ -132,6 +133,7 @@ func EvaluateFlipPerDest(g *asgraph.Graph, secure []bool, cfg Config, n int32) (
 		weights[i] = g.Weight(i)
 	}
 	wk := newWorker(g, nn)
+	rc := &roundCtx{st: st, cfg: &cfg, noSecure: !slices.Contains(st.secure, true)}
 	for d := int32(0); d < int32(nn); d++ {
 		stc := wk.ws.PrepareDest(d, cfg.Tiebreaker)
 		wk.baseTree.Clear(nn)
@@ -148,7 +150,7 @@ func EvaluateFlipPerDest(g *asgraph.Graph, secure []bool, cfg Config, n int32) (
 			}
 		}
 		flips := wk.flipSetFor(st, &cfg, n)
-		if !wk.flipCanChangeTree(stc, &wk.baseTree, st, &cfg, n, d, flips, anySecure) {
+		if !wk.flipCanChangeTree(stc, &wk.baseTree, rc, n, d, flips, anySecure) {
 			wk.clearFlips(flips)
 			proj[d] = base[d]
 			continue

@@ -143,7 +143,7 @@ func TestQuickDeltaAtMatchesAccumulate(t *testing.T) {
 			wk.ws.ResolveInto(&base, stc, sec, brk, nil, nil, tb)
 			wk.ws.PrepareDelta(stc)
 			accumulate(stc, &base, weights, wk.accBase, wk.incBase)
-			wk.buildChildIndex(stc, &base, n)
+			wk.kids.Build(stc, &base, n)
 			wk.projTree.CopyFrom(&base)
 			for _, c := range stc.Order() {
 				// Flip c plus occasionally a couple of extra nodes, the

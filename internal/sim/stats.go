@@ -15,9 +15,8 @@ import (
 //
 //   - a skip by the zero-utility test or one of the Appendix C.4 rules
 //     (one Skip* counter);
-//   - a predictor hit: the batched move predictor proves the
-//     projection moves no parent, so no propagation runs (ProjUnchanged
-//     only);
+//   - a predictor hit: the batched move predictor proves a turn-on
+//     moves no parent, so no propagation runs (ProjUnchanged only);
 //   - a projected resolution (ProjResolutions), which also bumps
 //     ProjUnchanged when it moves no parent.
 //
@@ -28,18 +27,15 @@ import (
 // inputs can have changed are re-decided (NodesRecomputed); every other
 // node's base-tree decision is provably unchanged and reused
 // (NodesReused), and the two add up to the destination's reachable
-// nodes. A resolution takes one of three paths, each counted once in
+// nodes. A resolution takes one of two paths, each counted once in
 // ProjResolutions:
 //
 //   - routing.ApplyFlips, for turn-ons and multi-node flip sets: every
 //     node it re-decides counts in NodesRecomputed;
-//   - the turn-off loss cascade (routing.ApplyTurnOff): every node it
-//     re-decides, c and the secure children of each node that lost
-//     its secure path;
-//   - the turn-off collapse, when the candidate is the destination's
-//     only secure child and the projection is the plain-winner tree:
-//     no node is re-decided, and the nodes whose parent it rewrites
-//     count in NodesRecomputed.
+//   - the destination's turn-off index (routing.TurnOffIndex), for
+//     single-node turn-offs: it re-decides no node, and the nodes whose
+//     parent its answer moves count in NodesRecomputed (an empty
+//     answer is an unchanged projection).
 type RoundStats struct {
 	// Wall is the wall-clock time of the round's utility computation.
 	Wall time.Duration

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"sbgp/internal/asgraph"
@@ -142,6 +143,75 @@ func TestStreamingResolveResultInvariant(t *testing.T) {
 		served := st.StaticHits + st.StaticDiskHits + int64(st.CleanDests) + st.PristineReplays
 		if served < n {
 			t.Errorf("round %d: %d destinations served, want >= %d", r, served, n)
+		}
+	}
+}
+
+// TestAllInsecureRoundStreams: in a no-adopter game's decision round
+// nobody is secure, so with projected stub upgrades off every
+// destination is untouchable, its own turn-on included. The round is
+// served from the sidecars the pristine pass recorded — no static fetch,
+// no base resolution, no projection — and its Result is bit-identical
+// to a run with no performance layer, which still runs no projection.
+// With ProjectStubUpgrades on, an ISP destination's stubs flip with it
+// and can reroute onto it, so those destinations keep the normal path.
+func TestAllInsecureRoundStreams(t *testing.T) {
+	g := topogen.MustGenerate(topogen.Default(300, 13))
+	g.SetCPTrafficFraction(0.10)
+	defer routing.CloseSharedDiskStores()
+	for _, model := range []UtilityModel{Outgoing, Incoming} {
+		base := Config{
+			Model:           model,
+			Theta:           0.05,
+			StubsBreakTies:  true,
+			Workers:         3,
+			RecordUtilities: true,
+			RecordStats:     true,
+		}
+		ref := MustNew(g, layerFreeConfig(base)).Run()
+		if len(ref.Rounds) != 1 || ref.Final.SecureASes != 0 {
+			t.Fatalf("%v: no-adopter game ran %d rounds to %d secure, want 1 round, 0 secure", model, len(ref.Rounds), ref.Final.SecureASes)
+		}
+		if st := ref.Rounds[0].Stats; st.ProjResolutions != 0 {
+			t.Errorf("%v/no layers: round 1 ran %d projections", model, st.ProjResolutions)
+		}
+
+		store := base
+		store.DynamicCacheBytes = -1
+		store.StaticStoreDir = t.TempDir()
+		sidecars := base
+		sidecars.DynamicCacheBytes = -1
+		// A warm rerun against the store, with every layer at its
+		// default: the pristine pass replays sidecars, so no dynamic
+		// record exists by round 1 either.
+		warm := base
+		warm.StaticStoreDir = store.StaticStoreDir
+		for _, v := range []struct {
+			label string
+			cfg   Config
+		}{{"store", store}, {"sidecars", sidecars}, {"warm store", warm}} {
+			label := fmt.Sprintf("%v/%s", model, v.label)
+			got := MustNew(g, v.cfg).Run()
+			requireBitIdentical(t, label, ref, got)
+			st := got.Rounds[0].Stats
+			if fetches := st.StaticHits + st.StaticMisses + st.StaticDiskHits; fetches != 0 || st.BaseResolutions != 0 || st.ProjResolutions != 0 {
+				t.Errorf("%s: round 1 made %d static fetches, %d base resolutions, %d projections; want none",
+					label, fetches, st.BaseResolutions, st.ProjResolutions)
+			}
+			if st.PristineReplays != int64(g.N()) {
+				t.Errorf("%s: round 1 replayed %d sidecars, want all %d destinations", label, st.PristineReplays, g.N())
+			}
+			routing.CloseSharedDiskStores()
+		}
+
+		stubs := sidecars
+		stubs.ProjectStubUpgrades = true
+		stubsRef := MustNew(g, layerFreeConfig(stubs)).Run()
+		got := MustNew(g, stubs).Run()
+		requireBitIdentical(t, fmt.Sprintf("%v/project-stubs", model), stubsRef, got)
+		if st := got.Rounds[0].Stats; st.StaticHits == 0 || st.BaseResolutions == 0 {
+			t.Errorf("%v/project-stubs: round 1 made %d static fetches and %d base resolutions, want the normal path",
+				model, st.StaticHits, st.BaseResolutions)
 		}
 	}
 }
